@@ -369,8 +369,9 @@ let traffic () =
     T.Traffic.run ~sessions:4 ~requests ~seed:42 ~scale ~mode:T.Traffic.Closed ()
   in
   print_string (T.Traffic.render report);
-  if report.T.Traffic.total_mismatches <> 0 then
-    failwith "traffic: oracle mismatches under concurrency";
+  let total = report.T.Traffic.total in
+  if total.T.Traffic.mismatches <> 0 || total.T.Traffic.untyped <> 0 then
+    failwith "traffic: oracle mismatches or untyped escapes under concurrency";
   if !json_mode then write_report "BENCH_traffic.json" (T.Report.traffic_json report)
 
 let sections =

@@ -234,7 +234,8 @@ let traffic_action sessions requests seed scale mode rate max_page_ios max_secon
      T.Report.write_file file (T.Report.traffic_json report);
      Printf.printf "wrote %s\n" file
    | None -> ());
-  if report.T.Traffic.total_mismatches <> 0 then exit 1
+  let total = report.T.Traffic.total in
+  if total.T.Traffic.mismatches <> 0 || total.T.Traffic.untyped <> 0 then exit 1
 
 let traffic_cmd =
   Cmd.v
@@ -244,7 +245,7 @@ let traffic_cmd =
           a seeded query mix through the full wire path over one shared \
           database, report throughput and p50/p95/p99 latency, and compare \
           every response against a single-session oracle. Exits nonzero on any \
-          mismatch.")
+          mismatch or untyped escape.")
     Term.(
       const traffic_action $ traffic_sessions $ traffic_requests $ traffic_seed
       $ traffic_scale $ traffic_mode $ traffic_rate $ traffic_max_page_ios
@@ -305,7 +306,7 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Chaos harness: replay the same seeded traffic schedules (well-formed \
-          v2 and v1 requests, already-expired deadlines, hostile frames) \
+          requests, retired-v1 frames, already-expired deadlines, hostile frames) \
           fault-free and again under seeded disk-fault injection, then hammer \
           the WAL of a scratch file database with injected append/sync faults. \
           Checks that no failure escapes untyped, no Ok payload diverges from \
@@ -466,13 +467,10 @@ let check_lint_action files =
   let failed = ref false in
   List.iter
     (fun file ->
-      let text =
-        let ic = open_in_bin file in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
-      in
-      match Xqdb_lint.Driver.validate_json text with
+      match
+        Result.bind (T.Report.parse_file file)
+          (T.Report.validate_lint ~schema_version:Xqdb_lint.Driver.schema_version)
+      with
       | Ok () -> Printf.printf "%s: ok\n" file
       | Error msg ->
         Printf.printf "%s: INVALID: %s\n" file msg;

@@ -22,15 +22,9 @@ val render_text : Finding.t list -> string
     trailer. *)
 
 val schema_version : int
-(** Current report version (2: L7–L9 joined the registry).  Version 1
-    reports are still accepted by {!validate_json}. *)
+(** Current report version (2: L7–L9 joined the registry), the only one
+    [testbed check-lint] accepts. *)
 
 val render_json : Finding.t list -> string
 (** [{"schema_version":…,"tool":"xqdb-lint","count":…,"findings":[…]}] —
     the CI artifact format. *)
-
-val validate_json : string -> (unit, string) result
-(** Strict validation of a rendered report (`testbed check-lint`):
-    well-formed JSON, accepted [schema_version], [tool] is [xqdb-lint],
-    [count] matches the [findings] array, every finding carries
-    [rule]/[file]/[line]/[col]/[message]. *)

@@ -80,9 +80,8 @@ val handle_connection :
   unit
 (** One connection's protocol loop, generic over the byte channel (and
     therefore testable without sockets): read frames, answer each
-    request {e in the protocol version it arrived in}, answer the first
-    framing error with [Bad_request] (encoded at {!Wire.min_version},
-    which any client decodes) and return.  Returns normally on clean
+    request, answer the first framing error (an unsupported version
+    included) with one [Bad_request] and return.  Returns normally on clean
     EOF.  A shutdown frame fires [on_shutdown] and ends the connection;
     [draining] is polled after each response and ends the connection at
     a request boundary.  [write]'s exceptions propagate. *)

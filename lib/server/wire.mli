@@ -5,13 +5,8 @@
     followed by the payload.  Payloads are capped at {!max_payload}
     bytes.
 
-    The current protocol {!version} is 2; every version down to
-    {!min_version} is still accepted.  Version 2 added the per-request
-    [deadline] field, the response [retry_after] hint, the [Timeout]
-    status and the shutdown frame kind.  Encoders take the version to
-    speak: a v1 response encodes [Timeout] as [Budget_exceeded] (the
-    closest status a v1 client knows) and drops [retry_after]; a v1
-    request simply has no deadline field.
+    One protocol {!version} is spoken; a frame with any other version
+    byte decodes to [Bad_version].
 
     Decoding is {e total}: truncated frames, oversized lengths and
     garbage headers all decode to a typed {!error}, never an exception —
@@ -50,9 +45,7 @@ type response = {
 }
 
 type incoming =
-  | Incoming_request of int * request
-      (** a request plus the protocol version its frame spoke — respond
-          in the same version *)
+  | Incoming_request of request
   | Incoming_shutdown  (** a drain order (frame kind 3, empty payload) *)
 
 type error =
@@ -70,35 +63,26 @@ val max_payload : int
 val header_size : int
 
 val version : int
-(** The newest protocol version this build speaks (2). *)
-
-val min_version : int
-(** The oldest version still accepted (1). *)
+(** The protocol version this build speaks and accepts (2). *)
 
 val error_response : ?retry_after:float -> status_code -> string -> response
 (** A response with the given status and message, zero accounting. *)
 
-val encode_request : ?version:int -> request -> bytes
-(** The full frame, header included.  [version] defaults to the current
-    one; encoding for v1 drops the deadline field.
-    @raise Invalid_argument on an unsupported version. *)
+val encode_request : request -> bytes
+(** The full frame, header included. *)
 
-val encode_response : ?version:int -> response -> bytes
-(** Encoding for v1 maps [Timeout] to [Budget_exceeded] and drops
-    [retry_after]. *)
+val encode_response : response -> bytes
 
 val encode_shutdown : unit -> bytes
-(** The drain frame: kind 3, empty payload, current version. *)
+(** The drain frame: kind 3, empty payload. *)
 
 val read_incoming : read:(bytes -> int -> int -> int) -> (incoming, error) result
-(** Read one client-to-server frame — a request (of any accepted
-    version, tagged with it) or a shutdown order.  [read buf off len]
+(** Read one client-to-server frame — a request or a shutdown order.  [read buf off len]
     returns the number of bytes read, 0 for EOF (the [Unix.read]
     shape). *)
 
 val read_request : read:(bytes -> int -> int -> int) -> (request, error) result
-(** Read one request frame (any accepted version); a non-request kind
-    is [Bad_kind]. *)
+(** Read one request frame; a non-request kind is [Bad_kind]. *)
 
 val read_response : read:(bytes -> int -> int -> int) -> (response, error) result
 

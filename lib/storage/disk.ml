@@ -4,9 +4,7 @@ type backend =
     }
   | File of {
       path : string;
-      out : out_channel;
-      inp : in_channel;
-      mutable flushed : bool;
+      fd : Unix.file_descr;  (* read-write, unbuffered *)
     }
 
 let m_torn_writes = Metrics.counter "disk.torn_writes"
@@ -55,6 +53,26 @@ let label t =
   | Mem _ -> "<mem>"
   | File f -> f.path
 
+(* Positioned full-length transfers on the one descriptor.  With no
+   buffering between the backend and the file, a read always sees the
+   last write to its page. *)
+let pwrite fd ~off buf len =
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  let rec go k = if k < len then go (k + Unix.write fd buf k (len - k)) in
+  go 0
+
+let pread t fd id =
+  let buf = Bytes.create t.psize in
+  ignore (Unix.lseek fd (id * t.psize) Unix.SEEK_SET);
+  let rec go k =
+    if k < t.psize then
+      match Unix.read fd buf k (t.psize - k) with
+      | 0 -> Xqdb_error.corrupt "Disk: short read of page %d of %s" id (label t)
+      | n -> go (k + n)
+  in
+  go 0;
+  buf
+
 (* A fresh zeroed page, checksum already stamped: even a page that is
    allocated and then read before any write verifies cleanly. *)
 let blank_page psize =
@@ -77,10 +95,7 @@ let do_alloc t =
        m.pages <- bigger
      end;
      m.pages.(id) <- blank_page t.psize
-   | File f ->
-     seek_out f.out (id * t.psize);
-     output_bytes f.out (blank_page t.psize);
-     f.flushed <- false);
+   | File f -> pwrite f.fd ~off:(id * t.psize) (blank_page t.psize) t.psize);
   id
 
 let with_catalog_page t =
@@ -108,11 +123,10 @@ let in_memory ?(page_size = 4096) () =
 
 let on_file ?(page_size = 4096) path =
   check_page_size page_size;
-  let out = open_out_gen [Open_wronly; Open_creat; Open_trunc; Open_binary] 0o644 path in
-  let inp = open_in_bin path in
+  let fd = Unix.openfile path [Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC] 0o644 in
   with_catalog_page
     { psize = page_size;
-      backend = File { path; out; inp; flushed = true };
+      backend = File { path; fd };
       count = 0;
       reads = 0;
       writes = 0;
@@ -121,18 +135,16 @@ let on_file ?(page_size = 4096) path =
 
 let open_existing ?(page_size = 4096) path =
   check_page_size page_size;
-  let out = open_out_gen [Open_wronly; Open_binary] 0o644 path in
-  let inp = open_in_bin path in
-  let size = in_channel_length inp in
+  let fd = Unix.openfile path [Unix.O_RDWR; Unix.O_CLOEXEC] 0o644 in
+  let size = (Unix.fstat fd).Unix.st_size in
   if size = 0 || size mod page_size <> 0 then begin
-    close_out out;
-    close_in inp;
+    Unix.close fd;
     invalid_arg
       (Printf.sprintf "Disk.open_existing: %s has %d bytes, not a whole number of %d-byte pages"
          path size page_size)
   end;
   { psize = page_size;
-    backend = File { path; out; inp; flushed = true };
+    backend = File { path; fd };
     count = size / page_size;
     reads = 0;
     writes = 0;
@@ -151,15 +163,7 @@ let alloc t = do_alloc t
 let fetch t id =
   match t.backend with
   | Mem m -> Bytes.copy m.pages.(id)
-  | File f ->
-    if not f.flushed then begin
-      flush f.out;
-      f.flushed <- true
-    end;
-    seek_in f.inp (id * t.psize);
-    let buf = Bytes.create t.psize in
-    really_input f.inp buf 0 t.psize;
-    buf
+  | File f -> pread t f.fd id
 
 let read_page t id =
   check_id t id;
@@ -181,10 +185,7 @@ let read_page_raw t id =
 let persist t id buf len =
   match t.backend with
   | Mem m -> Bytes.blit buf 0 m.pages.(id) 0 len
-  | File f ->
-    seek_out f.out (id * t.psize);
-    output_bytes f.out (if len = t.psize then buf else Bytes.sub buf 0 len);
-    f.flushed <- false
+  | File f -> pwrite f.fd ~off:(id * t.psize) buf len
 
 let write_page t id buf =
   check_id t id;
@@ -210,12 +211,9 @@ let write_page t id buf =
     t.writes <- t.writes + 1;
     persist t id buf t.psize
 
-let sync t =
-  match t.backend with
-  | Mem _ -> ()
-  | File f ->
-    flush f.out;
-    f.flushed <- true
+(* Every write has reached the OS by the time [write_page] returns, so
+   there is nothing left to hand over (and, as ever, no fsync). *)
+let sync _ = ()
 
 let counters t = { reads = t.reads; writes = t.writes; allocs = t.allocs }
 
@@ -229,7 +227,4 @@ let reset_counters t =
 let close t =
   match t.backend with
   | Mem _ -> ()
-  | File f ->
-    flush f.out;
-    close_out f.out;
-    close_in f.inp
+  | File f -> Unix.close f.fd

@@ -52,7 +52,9 @@ val in_memory : ?page_size:int -> unit -> t
 (** Default page size is 4096 bytes. *)
 
 val on_file : ?page_size:int -> string -> t
-(** Creates or truncates [path]. *)
+(** Creates or truncates [path].  Reads and writes go through one
+    read-write descriptor, so a read always sees the last write to its
+    page. *)
 
 val open_existing : ?page_size:int -> string -> t
 (** Open a database file created earlier by {!on_file}; the page count
@@ -72,7 +74,8 @@ val read_page : t -> int -> bytes
     @raise Invalid_argument on an unallocated page id.
     @raise Disk_error on an injected read fault.
     @raise Xqdb_error.Corrupt if the stored checksum does not match the
-    contents (the [disk.checksum_failures] counter is bumped). *)
+    contents (the [disk.checksum_failures] counter is bumped), or if
+    the file ends inside the page. *)
 
 val read_page_raw : t -> int -> bytes
 (** Like {!read_page} but without checksum verification, fault
@@ -89,9 +92,10 @@ val write_page : t -> int -> bytes -> unit
     so retrying the full write repairs the page. *)
 
 val sync : t -> unit
-(** Flush buffered writes to the backing file (no-op for the in-memory
-    backend).  The durability point the {!Wal} checkpoint protocol
-    relies on. *)
+(** The durability point the {!Wal} checkpoint protocol relies on: every
+    write has been handed to the OS.  The file backend writes through
+    one unbuffered descriptor, so a write is there as soon as
+    {!write_page} returns and this is a no-op (it does not fsync). *)
 
 type counters = {
   reads : int;

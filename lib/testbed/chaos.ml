@@ -1,29 +1,22 @@
 module Database = Xqdb_core.Database
-module Engine = Xqdb_core.Engine
 module Engine_config = Xqdb_core.Engine_config
-module Session = Xqdb_server.Session
-module Server = Xqdb_server.Server
-module Wire = Xqdb_server.Wire
 module Storage = Xqdb_storage
 module Metrics = Xqdb_storage.Metrics
 module Wal = Xqdb_storage.Wal
 module Disk = Xqdb_storage.Disk
-module Dblp = Xqdb_workload.Dblp_gen
 
-(* The chaos harness: the traffic generator re-run under seeded faults,
-   with the fault-free run as its own oracle.
+(* The chaos harness: {!Traffic} legs re-run under seeded faults, with
+   the fault-free leg as their own oracle.
 
-   Both traffic legs replay the *same* seeded per-session schedules —
-   a mix of well-formed requests (current and v1 wire versions),
-   already-expired deadlines and hostile byte strings — through the
-   server's real connection loop.  The baseline leg runs them
-   fault-free; the chaos leg re-runs them with a seeded Fault_disk
-   injector armed.  Deliberate abuse (hostile frames, dead deadlines)
-   therefore produces identical typed outcomes in both legs, which is
-   what lets the transient profile assert the strongest property in the
-   issue: the chaos leg's outcome counts must equal the baseline's —
-   transient faults are invisible to clients, absorbed entirely by the
-   storage retry.
+   Both traffic legs replay the *same* seeded per-session schedules — a
+   mix of well-formed requests, v1 frames, already-expired deadlines and
+   hostile byte strings — through the server's real connection loop.
+   The baseline leg runs them fault-free; the chaos leg re-runs them with
+   a seeded Fault_disk injector armed.  Deliberate abuse therefore
+   produces identical typed outcomes in both legs, which is what lets the
+   transient profile assert the strongest property: the chaos leg's
+   outcome counts must equal the baseline's — transient faults are
+   invisible to clients, absorbed entirely by the storage retry.
 
    The third leg exercises the WAL path single-threaded: load/drop
    cycles on a scratch file database under injected append/sync faults
@@ -38,28 +31,6 @@ let profile_label = function
   | Transient -> "transient"
   | Hard -> "hard"
 
-let profile_of_string = function
-  | "transient" -> Some Transient
-  | "hard" -> Some Hard
-  | _ -> None
-
-type leg = {
-  leg : string;
-  requests : int;
-  ok : int;
-  budget_exceeded : int;
-  timeouts : int;
-  errors : int;
-  io_errors : int;
-  bad_requests : int;
-  unavailable : int;
-  mismatches : int;
-  untyped : int;
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-}
-
 type report = {
   chaos_seed : int;
   chaos_sessions : int;
@@ -71,20 +42,11 @@ type report = {
   retry_giveups : int;
   wal_rounds : int;
   wal_retry_attempts : int;
-  baseline : leg;
-  chaos : leg;
+  baseline : Traffic.leg;
+  chaos : Traffic.leg;
   p99_ratio : float;
   violations : string list;
 }
-
-let doc_name = "dblp"
-
-let mix () = Queries.efficiency_queries @ [("example6", Queries.example6)]
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
 
 (* Deep retries for the chaos database: at the fault rates the harness
    injects, the default 3-attempt policy would give up on back-to-back
@@ -117,203 +79,6 @@ let fault_policy = function
       alloc_fault_rate = 0.;
       transient_fraction = 0.5;
       torn_fraction = 0. }
-
-(* --- request plans --------------------------------------------------------- *)
-
-(* What one slot of a session's schedule does.  Drawn once per (seed,
-   session) and replayed identically by both legs. *)
-type plan =
-  | Normal of int  (* mix entry, current wire version *)
-  | Old_version of int  (* mix entry, spoken as a v1 frame *)
-  | Expired of int  (* mix entry with an already-dead deadline *)
-  | Hostile of int  (* one of the hostile byte strings *)
-
-let u32be n =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_be b 0 (Int32.of_int n);
-  Bytes.to_string b
-
-let frame_header ?(magic = "XQDB") ?(version = 1) ?(kind = 1) len =
-  magic ^ String.make 1 (Char.chr version) ^ String.make 1 (Char.chr kind) ^ u32be len
-
-(* Every variant must decode to a typed non-[Closed] error, so the
-   server loop answers each with exactly one [Bad_request]. *)
-let hostile_frames =
-  [| frame_header ~magic:"EVIL" 0;  (* garbage magic *)
-     "XQ";  (* header truncated mid-magic *)
-     frame_header ~kind:9 0;  (* unknown frame kind *)
-     frame_header (Wire.max_payload + 1);  (* oversize declaration *)
-     frame_header 64 ^ "not sixty-four bytes" (* payload truncated *) |]
-
-let schedule ~seed ~requests ~mix_size k =
-  let rng = Random.State.make [| seed; k; 0xc4a05 |] in
-  Array.init requests (fun _ ->
-      let d = Random.State.int rng 100 in
-      if d < 4 then Hostile (Random.State.int rng (Array.length hostile_frames))
-      else if d < 8 then Expired (Random.State.int rng mix_size)
-      else if d < 16 then Old_version (Random.State.int rng mix_size)
-      else Normal (Random.State.int rng mix_size))
-
-let make_request ?deadline text =
-  { Wire.doc = doc_name; query_text = text; max_page_ios = None; max_seconds = None;
-    deadline }
-
-(* One plan through the server's real connection loop (one frame, then
-   EOF), returning the decoded responses the "client" saw. *)
-let play session plan mix =
-  let frame =
-    match plan with
-    | Normal i -> Bytes.to_string (Wire.encode_request (make_request (snd mix.(i))))
-    | Old_version i ->
-      Bytes.to_string (Wire.encode_request ~version:1 (make_request (snd mix.(i))))
-    | Expired i ->
-      (* A deadline already in the past: the session must censor it with
-         the typed [Timeout], touching no page. *)
-      Bytes.to_string
-        (Wire.encode_request (make_request ~deadline:(-1.0) (snd mix.(i))))
-    | Hostile i -> hostile_frames.(i)
-  in
-  let out = Buffer.create 256 in
-  Server.handle_connection ~session ~read:(Wire.string_reader frame)
-    ~write:(Buffer.add_bytes out) ();
-  let read = Wire.string_reader (Buffer.contents out) in
-  let rec drain acc =
-    match Wire.read_response ~read with
-    | Result.Ok r -> drain (r :: acc)
-    | Result.Error _ -> List.rev acc
-  in
-  drain []
-
-(* One session's leg, summarized.  Immutable — each domain builds its
-   own from local refs and the spawner only ever reads the results. *)
-type outcome = {
-  latencies : float array;
-  c_ok : int;
-  c_budget : int;
-  c_timeout : int;
-  c_error : int;
-  c_io : int;
-  c_bad : int;
-  c_unavailable : int;
-  c_mism : int;
-  c_untyped : int;
-}
-
-let run_session ~db ~mix ~oracle ~sched () =
-  let session = Session.create db in
-  let n = Array.length sched in
-  let latencies = Array.make n 0. in
-  let ok = ref 0 and budget = ref 0 and timeout = ref 0 and error = ref 0 in
-  let io = ref 0 and bad = ref 0 and unavailable = ref 0 in
-  let mism = ref 0 and untyped = ref 0 in
-  for i = 0 to n - 1 do
-    let t0 = Storage.Monotonic.now () in
-    (match play session sched.(i) mix with
-     | [resp] ->
-       (match resp.Wire.status with
-        | Wire.Ok ->
-          incr ok;
-          (* Faults may never corrupt an answer: an [Ok] payload must
-             equal the fault-free oracle's, byte for byte. *)
-          let expected =
-            match sched.(i) with
-            | Normal q | Old_version q -> Hashtbl.find_opt oracle (snd mix.(q))
-            | Expired _ | Hostile _ -> None
-          in
-          (match expected with
-           | Some payload when String.equal payload resp.Wire.payload -> ()
-           | Some _ | None -> incr mism)
-        | Wire.Budget_exceeded -> incr budget
-        | Wire.Timeout -> incr timeout
-        | Wire.Error -> incr error
-        | Wire.Io_error -> incr io
-        | Wire.Bad_request -> incr bad
-        | Wire.Unavailable -> incr unavailable)
-     | [] | _ :: _ :: _ ->
-       (* The loop must answer every frame exactly once; anything else
-          is an untyped escape. *)
-       incr untyped
-     | exception (Storage.Xqdb_error.Internal _ as e) -> raise e
-     | exception _ -> incr untyped);
-    latencies.(i) <- Storage.Monotonic.elapsed_since t0
-  done;
-  { latencies;
-    c_ok = !ok; c_budget = !budget; c_timeout = !timeout; c_error = !error;
-    c_io = !io; c_bad = !bad; c_unavailable = !unavailable; c_mism = !mism;
-    c_untyped = !untyped }
-
-let aggregate ~label outcomes =
-  let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outcomes in
-  let all =
-    Array.concat (Array.to_list (Array.map (fun o -> o.latencies) outcomes))
-  in
-  Array.sort Float.compare all;
-  { leg = label;
-    requests = Array.length all;
-    ok = sum (fun o -> o.c_ok);
-    budget_exceeded = sum (fun o -> o.c_budget);
-    timeouts = sum (fun o -> o.c_timeout);
-    errors = sum (fun o -> o.c_error);
-    io_errors = sum (fun o -> o.c_io);
-    bad_requests = sum (fun o -> o.c_bad);
-    unavailable = sum (fun o -> o.c_unavailable);
-    mismatches = sum (fun o -> o.c_mism);
-    untyped = sum (fun o -> o.c_untyped);
-    p50_ms = 1000. *. percentile all 0.50;
-    p95_ms = 1000. *. percentile all 0.95;
-    p99_ms = 1000. *. percentile all 0.99 }
-
-let assert_quiescent ~label pool =
-  (match Storage.Buffer_pool.pinned_pages pool with
-   | [] -> ()
-   | leaked ->
-     Storage.Xqdb_error.internal "Chaos: %d page(s) still pinned after the %s leg"
-       (List.length leaked) label);
-  match Storage.Buffer_pool.latched_pages pool with
-  | [] -> ()
-  | leaked ->
-    Storage.Xqdb_error.internal "Chaos: %d frame latch(es) still held after the %s leg"
-      (List.length leaked) label
-
-(* The oracle: every distinct query answered once, fault-free (the
-   caller records it before any injector is armed). *)
-let record_oracle ~db mix =
-  let oracle = Hashtbl.create 16 in
-  let session = Session.create db in
-  Array.iter
-    (fun (_, text) ->
-      let resp = Session.handle session (make_request text) in
-      if resp.Wire.status = Wire.Ok then
-        Hashtbl.replace oracle text resp.Wire.payload)
-    mix;
-  oracle
-
-(* Cold starts per leg.  One cold read sweep over a small document is
-   only a few dozen faultable page reads; repeating the schedules from
-   a dropped pool multiplies the disk traffic the injector sees, so
-   "the injector fired" holds for any seed at realistic rates. *)
-let waves = 3
-
-let run_leg ~label ~db ~mix ~oracle ~scheds () =
-  let pool = Engine.pool (Database.engine db ~name:doc_name) in
-  let sessions = Array.length scheds in
-  let outcomes = ref [] in
-  for _wave = 1 to waves do
-    (* Cold pool: both legs start each wave from disk, so the chaos
-       leg's reads actually traverse the (possibly faulting) disk and
-       the latency comparison is like against like. *)
-    Storage.Buffer_pool.drop_all pool;
-    let os =
-      if sessions = 1 then [| run_session ~db ~mix ~oracle ~sched:scheds.(0) () |]
-      else
-        Array.map Domain.join
-          (Array.init sessions (fun k ->
-               Domain.spawn (fun () -> run_session ~db ~mix ~oracle ~sched:scheds.(k) ())))
-    in
-    assert_quiescent ~label pool;
-    outcomes := os :: !outcomes
-  done;
-  aggregate ~label (Array.concat (List.rev !outcomes))
 
 (* --- the WAL-fault leg ----------------------------------------------------- *)
 
@@ -389,38 +154,41 @@ let wal_leg ~seed ~rounds =
 
 (* --- the full run ---------------------------------------------------------- *)
 
-let leg_violations (l : leg) =
+let leg_violations (l : Traffic.leg) =
   (if l.untyped > 0 then
-     [Printf.sprintf "%s leg: %d failure(s) escaped untyped" l.leg l.untyped]
+     [Printf.sprintf "%s leg: %d failure(s) escaped untyped" l.label l.untyped]
    else [])
   @
   if l.mismatches > 0 then
-    [Printf.sprintf "%s leg: %d Ok payload(s) diverged from the fault-free oracle"
-       l.leg l.mismatches]
+    [Printf.sprintf "%s leg: %d answer(s) diverged from the fault-free oracle"
+       l.label l.mismatches]
   else []
 
-let counts_of (l : leg) =
-  (l.ok, l.budget_exceeded, l.timeouts, l.errors, l.io_errors, l.bad_requests,
-   l.unavailable)
+let counts_of (l : Traffic.leg) =
+  Printf.sprintf "ok %d budget %d timeout %d error %d io %d bad %d unavailable %d" l.ok
+    l.budget_exceeded l.timeouts l.errors l.io_errors l.bad_requests l.unavailable
+
+(* Cold starts per leg.  One cold read sweep over a small document is
+   only a few dozen faultable page reads; repeating the schedules from
+   a dropped pool multiplies the disk traffic the injector sees, so
+   "the injector fired" holds for any seed at realistic rates. *)
+let waves = 3
 
 let run ?(profile = Transient) ?(max_p99_ratio = 200.0) ~sessions ~requests ~seed ~scale
     () =
-  if sessions < 1 then invalid_arg "Chaos.run: sessions must be positive";
-  if requests < 1 then invalid_arg "Chaos.run: requests must be positive";
-  let db = Database.create ~config:chaos_config () in
-  ignore (Database.load_forest db ~name:doc_name [Dblp.generate (Dblp.scaled scale)]);
-  let mix = Array.of_list (mix ()) in
-  let scheds =
-    Array.init sessions (schedule ~seed ~requests ~mix_size:(Array.length mix))
+  let scheds = Traffic.schedule ~abuse:true ~seed ~sessions ~requests in
+  let target = Traffic.setup ~config:chaos_config ~scale () in
+  let leg ~exact label =
+    (Traffic.run_leg ~cold_waves:waves ~exact ~label target scheds).Traffic.total
   in
-  let oracle = record_oracle ~db mix in
-  let baseline = run_leg ~label:"baseline" ~db ~mix ~oracle ~scheds () in
+  let baseline = leg ~exact:true "baseline" in
   (* Same schedules again, now with the disk faulting underneath. *)
   let injector =
-    Storage.Fault_disk.attach ~policy:(fault_policy profile) ~seed (Database.disk db)
+    Storage.Fault_disk.attach ~policy:(fault_policy profile) ~seed
+      (Database.disk (Traffic.database target))
   in
   let before = Metrics.snapshot () in
-  let chaos = run_leg ~label:"chaos" ~db ~mix ~oracle ~scheds () in
+  let chaos = leg ~exact:false "chaos" in
   let delta = Metrics.diff (Metrics.snapshot ()) before in
   let injected = (Storage.Fault_disk.counts injector).Storage.Fault_disk.injected in
   Storage.Fault_disk.detach injector;
@@ -435,16 +203,11 @@ let run ?(profile = Transient) ?(max_p99_ratio = 200.0) ~sessions ~requests ~see
     @ (if injected = 0 then ["chaos leg: the fault injector never fired"] else [])
     @ (match profile with
        | Transient ->
-         (if counts_of chaos <> counts_of baseline then
+         (if not (String.equal (counts_of chaos) (counts_of baseline)) then
             [Printf.sprintf
-               "transient faults leaked to clients: chaos outcomes \
-                (ok %d budget %d timeout %d error %d io %d bad %d unavailable %d) \
-                differ from baseline \
-                (ok %d budget %d timeout %d error %d io %d bad %d unavailable %d)"
-               chaos.ok chaos.budget_exceeded chaos.timeouts chaos.errors chaos.io_errors
-               chaos.bad_requests chaos.unavailable baseline.ok
-               baseline.budget_exceeded baseline.timeouts baseline.errors
-               baseline.io_errors baseline.bad_requests baseline.unavailable]
+               "transient faults leaked to clients: chaos outcomes (%s) differ from \
+                baseline (%s)"
+               (counts_of chaos) (counts_of baseline)]
           else [])
          @
          if retry_attempts = 0 then
@@ -488,15 +251,8 @@ let render r =
     (Printf.sprintf
        "chaos: %d session(s) x %d request(s), %s faults, DBLP scale %d, seed %d\n"
        r.chaos_sessions r.chaos_requests r.profile_label r.chaos_scale r.chaos_seed);
-  List.iter
-    (fun (l : leg) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  %-8s ok %d  budget %d  timeout %d  error %d  io %d  bad %d  unavail %d  \
-            mismatch %d  untyped %d  p99 %.2fms\n"
-           l.leg l.ok l.budget_exceeded l.timeouts l.errors l.io_errors l.bad_requests
-           l.unavailable l.mismatches l.untyped l.p99_ms))
-    [r.baseline; r.chaos];
+  Buffer.add_string buf (Traffic.render_leg r.baseline);
+  Buffer.add_string buf (Traffic.render_leg r.chaos);
   Buffer.add_string buf
     (Printf.sprintf
        "  faults injected %d  retry attempts %d  giveups %d  p99 ratio %.1fx\n"

@@ -1,15 +1,15 @@
-(** The chaos harness: the traffic generator re-run under seeded fault
-    injection, with the fault-free run as its own oracle.
+(** The chaos harness: {!Traffic} legs re-run under seeded fault
+    injection, with the fault-free leg as their own oracle.
 
     A chaos run has three phases over one database:
 
-    + a {e fault-free baseline} traffic leg (after a single-session
-      oracle records every distinct query's answer);
-    + a {e chaos} traffic leg: the same seeded schedules with a
-      {!Xqdb_storage.Fault_disk} injector armed, and a seeded sprinkle
-      of hostile frames (garbage bytes through the wire decoder),
-      already-expired deadlines and old-version (v1) frames mixed into
-      the request stream;
+    + a {e fault-free baseline} leg, exact against the single-session
+      oracle;
+    + a {e chaos} leg: the same seeded schedules with a
+      {!Xqdb_storage.Fault_disk} injector armed.  Both legs' schedules
+      mix a seeded sprinkle of hostile frames (garbage bytes through the
+      wire decoder), already-expired deadlines and retired-v1 frames
+      into the request stream;
     + a single-threaded {e WAL-fault} leg on a scratch file database:
       load/drop/checkpoint cycles with transient [Wal] append/sync
       faults injected, asserting the storage retry absorbed them
@@ -18,13 +18,12 @@
 
     The run's acceptance checks come back as [violations] (empty =
     pass): every client-visible failure typed (zero [untyped]), zero
-    oracle mismatches on [Ok] payloads, transient faults invisible to
-    clients (chaos-leg error counts equal to the baseline's), hard
-    faults surfaced as typed [Io_error]s, retries actually exercised,
-    and chaos-leg p99 latency within [max_p99_ratio] of the baseline.
-    After each leg the shared pool must be quiescent — a pin or latch
-    leak raises {!Xqdb_storage.Xqdb_error.Internal}, as in
-    {!Traffic}. *)
+    oracle mismatches, transient faults invisible to clients (chaos-leg
+    outcome counts equal to the baseline's), hard faults surfaced as
+    typed [Io_error]s, retries actually exercised, and chaos-leg p99
+    latency within [max_p99_ratio] of the baseline.  Each leg replays
+    its schedules in three cold-start waves, and the shared pool must
+    be quiescent after each. *)
 
 type profile =
   | Transient  (** every injected fault clears after one failure *)
@@ -32,26 +31,6 @@ type profile =
 
 val profile_label : profile -> string
 (** ["transient"] or ["hard"]. *)
-
-val profile_of_string : string -> profile option
-
-type leg = {
-  leg : string;  (** ["baseline"] or ["chaos"] *)
-  requests : int;
-  ok : int;
-  budget_exceeded : int;
-  timeouts : int;
-  errors : int;
-  io_errors : int;
-  bad_requests : int;
-  unavailable : int;
-  mismatches : int;
-      (** [Ok] responses whose payload diverged from the oracle *)
-  untyped : int;  (** exceptions that escaped the wire path — must be 0 *)
-  p50_ms : float;
-  p95_ms : float;
-  p99_ms : float;
-}
 
 type report = {
   chaos_seed : int;
@@ -67,8 +46,8 @@ type report = {
   retry_giveups : int;
   wal_rounds : int;
   wal_retry_attempts : int;  (** [retry.attempts] delta in the WAL leg *)
-  baseline : leg;
-  chaos : leg;
+  baseline : Traffic.leg;  (** labelled ["baseline"] *)
+  chaos : Traffic.leg;  (** labelled ["chaos"] *)
   p99_ratio : float;  (** chaos p99 / baseline p99 *)
   violations : string list;  (** empty iff the run passes *)
 }

@@ -273,7 +273,7 @@ let profile_json (p : Engine.profile) =
       ("operators", Arr (List.map op_json p.operators)) ]
 
 (* The planner/engine counter deltas a run's profile carries; surfaced
-   as top-level result fields (schema v2) so CI can assert on them
+   as top-level result fields so CI can assert on them
    without digging through the counters object. *)
 let template_fields (p : Engine.profile) =
   let counter name =
@@ -283,7 +283,7 @@ let template_fields (p : Engine.profile) =
     ("template_binds", Int (counter "planner.template_binds"));
     ("prepared_cache_hits", Int (counter "engine.prepared_cache_hits")) ]
 
-(* WAL and recovery counter deltas (schema v3), surfaced as top-level
+(* WAL and recovery counter deltas, surfaced as top-level
    result fields; zero for engines running without a log, so CI can
    assert durability activity without digging through counters. *)
 let durability_fields (p : Engine.profile) =
@@ -317,20 +317,16 @@ let cell_json (c : Efficiency.cell) =
     @ durability_fields c.profile
     @ [("profile", profile_json c.profile)])
 
-let schema_version = 6
-
-(* v1 reports (no template counter fields), v2 reports (no durability
-   fields), v3 reports (no traffic kind), v4 reports (no per-operator
-   batch counts) and v5 reports (no chaos kind, no per-session timeout
-   counts) stay parseable/valid. *)
-let accepted_versions = [1; 2; 3; 4; 5; schema_version]
+(* v7: traffic and chaos results share the leg shape.  Exactly this
+   version validates. *)
+let schema_version = 7
 
 let bench_json ~kind extra ~results =
   Obj
     ((("schema_version", Int schema_version) :: ("kind", Str kind) :: extra)
     @ [("results", Arr results)])
 
-(* The batch-vs-tuple comparison carried by fig7 reports (schema v5):
+(* The batch-vs-tuple comparison carried by fig7 reports:
    the same engines and workload run once at the configured batch size
    and once degraded to one-row batches through the identical operator
    code, so the seconds delta isolates the vectorization win.  Rankings
@@ -384,61 +380,46 @@ let crash_json (r : Differential.crash_report) =
              t.Differential.points)
          r.Differential.crash_trials)
 
-(* One result object per session; the run-level aggregates live in the
-   top-level extras so CI can gate on throughput/latency/mismatches
-   without folding over sessions. *)
+let leg_json (l : Traffic.leg) =
+  Obj
+    [ ("leg", Str l.Traffic.label);
+      ("requests", Int l.Traffic.requests);
+      ("ok", Int l.Traffic.ok);
+      ("budget_exceeded", Int l.Traffic.budget_exceeded);
+      ("timeouts", Int l.Traffic.timeouts);
+      ("errors", Int l.Traffic.errors);
+      ("io_errors", Int l.Traffic.io_errors);
+      ("bad_requests", Int l.Traffic.bad_requests);
+      ("unavailable", Int l.Traffic.unavailable);
+      ("mismatches", Int l.Traffic.mismatches);
+      ("untyped", Int l.Traffic.untyped);
+      ("p50_ms", Float l.Traffic.p50_ms);
+      ("p95_ms", Float l.Traffic.p95_ms);
+      ("p99_ms", Float l.Traffic.p99_ms) ]
+
+(* One leg per session; the run-level aggregates live in the top-level
+   extras so CI can gate on throughput/latency/mismatches without
+   folding over sessions. *)
 let traffic_json (r : Traffic.report) =
-  let session_json (s : Traffic.session_report) =
-    Obj
-      [ ("session", Int s.Traffic.session);
-        ("requests", Int s.Traffic.requests);
-        ("ok", Int s.Traffic.ok);
-        ("budget_exceeded", Int s.Traffic.budget_exceeded);
-        ("timeouts", Int s.Traffic.timeouts);
-        ("errors", Int s.Traffic.errors);
-        ("io_errors", Int s.Traffic.io_errors);
-        ("bad_requests", Int s.Traffic.bad_requests);
-        ("mismatches", Int s.Traffic.mismatches);
-        ("p50_ms", Float s.Traffic.p50_ms);
-        ("p95_ms", Float s.Traffic.p95_ms);
-        ("p99_ms", Float s.Traffic.p99_ms) ]
-  in
   bench_json ~kind:"traffic"
     [ ("sessions", Int r.Traffic.sessions);
       ("requests_per_session", Int r.Traffic.requests_per_session);
       ("seed", Int r.Traffic.seed);
       ("scale", Int r.Traffic.scale);
       ("mode", Str (Traffic.mode_label r.Traffic.mode));
-      ("doc", Str r.Traffic.doc);
+      ("doc", Str Traffic.doc_name);
       ("wall_seconds", Float r.Traffic.wall_seconds);
       ("throughput", Float r.Traffic.throughput);
-      ("mismatches", Int r.Traffic.total_mismatches);
-      ("p50_ms", Float r.Traffic.p50_ms);
-      ("p95_ms", Float r.Traffic.p95_ms);
-      ("p99_ms", Float r.Traffic.p99_ms) ]
-    ~results:(List.map session_json r.Traffic.per_session)
+      ("mismatches", Int r.Traffic.total.Traffic.mismatches);
+      ("p50_ms", Float r.Traffic.total.Traffic.p50_ms);
+      ("p95_ms", Float r.Traffic.total.Traffic.p95_ms);
+      ("p99_ms", Float r.Traffic.total.Traffic.p99_ms) ]
+    ~results:(List.map leg_json r.Traffic.per_session)
 
-(* One result object per leg (fault-free baseline, then chaos); the
+(* One leg per traffic leg (fault-free baseline, then chaos); the
    fault/retry accounting and the harness's own verdicts live in the
    top-level extras so CI can gate on them directly. *)
 let chaos_json (r : Chaos.report) =
-  let leg_json (l : Chaos.leg) =
-    Obj
-      [ ("leg", Str l.Chaos.leg);
-        ("requests", Int l.Chaos.requests);
-        ("ok", Int l.Chaos.ok);
-        ("budget_exceeded", Int l.Chaos.budget_exceeded);
-        ("timeouts", Int l.Chaos.timeouts);
-        ("errors", Int l.Chaos.errors);
-        ("io_errors", Int l.Chaos.io_errors);
-        ("bad_requests", Int l.Chaos.bad_requests);
-        ("unavailable", Int l.Chaos.unavailable);
-        ("mismatches", Int l.Chaos.mismatches);
-        ("untyped", Int l.Chaos.untyped);
-        ("p50_ms", Float l.Chaos.p50_ms);
-        ("p95_ms", Float l.Chaos.p95_ms);
-        ("p99_ms", Float l.Chaos.p99_ms) ]
-  in
   bench_json ~kind:"chaos"
     [ ("seed", Int r.Chaos.chaos_seed);
       ("sessions", Int r.Chaos.chaos_sessions);
@@ -492,19 +473,12 @@ let rec validate_op op =
   let* ios = int_field op "ios" in
   let* own = int_field op "own_ios" in
   let* rows = int_field op "rows" in
-  (* v5 reports carry per-operator batch counts; every non-empty batch
-     holds at least one row, so batches can never exceed rows. *)
-  let* () =
-    match member "batches" op with
-    | None -> Ok ()
-    | Some v ->
-      let* batches = as_int "batches" v in
-      if batches < 0 then Error "negative batches"
-      else if batches > rows then
-        Error (Printf.sprintf "batches %d exceed rows %d" batches rows)
-      else Ok ()
-  in
-  if rows < 0 then Error "negative rows"
+  (* Every non-empty batch holds at least one row, so batches can never
+     exceed rows. *)
+  let* batches = int_field op "batches" in
+  if batches < 0 then Error "negative batches"
+  else if batches > rows then Error (Printf.sprintf "batches %d exceed rows %d" batches rows)
+  else if rows < 0 then Error "negative rows"
   else if own < 0 then Error "negative own_ios"
   else
     let* inputs = need "inputs" (member "inputs" op) in
@@ -553,15 +527,14 @@ let validate_profile p =
       let* _ = int_field pool "misses" in
       Ok ()
 
-let validate_result ~version r =
+let validate_result r =
   let* engine = need "engine" (member "engine" r) in
   let* _ = as_str "engine" engine in
   let* test = need "test" (member "test" r) in
   let* _ = as_str "test" test in
   let counter_fields =
-    (if version >= 2 then ["templates_built"; "template_binds"; "prepared_cache_hits"]
-     else [])
-    @ (if version >= 3 then ["wal_appends"; "wal_checkpoints"; "recovery_replayed"] else [])
+    [ "templates_built"; "template_binds"; "prepared_cache_hits"; "wal_appends";
+      "wal_checkpoints"; "recovery_replayed" ]
   in
   let* () =
     List.fold_left
@@ -612,52 +585,11 @@ let validate_crash_result r =
     Error (Printf.sprintf "crash point %d past the %d observed events" point events)
   else Ok ()
 
-(* A traffic session entry: the outcome counts must partition the
-   session's requests, latency percentiles must be ordered, and — the
-   gate CI relies on — the concurrent run must match the single-session
-   oracle exactly (zero mismatches). *)
-let validate_traffic_result r =
-  let* session = int_field r "session" in
-  let* requests = int_field r "requests" in
-  let* ok = int_field r "ok" in
-  let* budget = int_field r "budget_exceeded" in
-  (* v6 added the per-session timeout count; older reports carry none
-     (no deadlines on the v5 wire, so the count was identically 0). *)
-  let* timeouts =
-    match member "timeouts" r with
-    | None -> Ok 0
-    | Some v -> as_int "timeouts" v
-  in
-  let* errors = int_field r "errors" in
-  let* io = int_field r "io_errors" in
-  let* bad = int_field r "bad_requests" in
-  let* mismatches = int_field r "mismatches" in
-  let* p50 = need "p50_ms" (member "p50_ms" r) in
-  let* p50 = as_number "p50_ms" p50 in
-  let* p95 = need "p95_ms" (member "p95_ms" r) in
-  let* p95 = as_number "p95_ms" p95 in
-  let* p99 = need "p99_ms" (member "p99_ms" r) in
-  let* p99 = as_number "p99_ms" p99 in
-  if session < 0 then Error "negative session"
-  else if requests < 1 then Error "session with no requests"
-  else if ok + budget + timeouts + errors + io + bad <> requests then
-    Error
-      (Printf.sprintf "session %d outcomes do not partition: %d+%d+%d+%d+%d+%d <> %d"
-         session ok budget timeouts errors io bad requests)
-  else if mismatches <> 0 then
-    Error
-      (Printf.sprintf "session %d diverged from the single-session oracle (%d mismatches)"
-         session mismatches)
-  else if p50 < 0. || p95 < 0. || p99 < 0. then Error "negative latency percentile"
-  else if p50 > p95 || p95 > p99 then
-    Error (Printf.sprintf "session %d latency percentiles not ordered" session)
-  else Ok ()
-
-(* A chaos leg entry: the outcome counts must partition the leg's
-   requests, every failure must be typed (zero untyped escapes), Ok
-   responses must match the fault-free oracle (zero mismatches), and
-   percentiles must be ordered. *)
-let validate_chaos_result r =
+(* A traffic or chaos leg: the outcome counts must partition the leg's
+   requests, every failure must be typed (zero untyped escapes), every
+   answer must match the oracle (zero mismatches), and percentiles must
+   be non-negative and ordered. *)
+let validate_leg r =
   let* leg = need "leg" (member "leg" r) in
   let* leg = as_str "leg" leg in
   let* requests = int_field r "requests" in
@@ -685,9 +617,7 @@ let validate_chaos_result r =
   else if untyped <> 0 then
     Error (Printf.sprintf "%s leg let %d failure(s) escape untyped" leg untyped)
   else if mismatches <> 0 then
-    Error
-      (Printf.sprintf "%s leg diverged from the fault-free oracle (%d mismatches)" leg
-         mismatches)
+    Error (Printf.sprintf "%s leg diverged from the oracle (%d mismatches)" leg mismatches)
   else if p50 < 0. || p95 < 0. || p99 < 0. then Error "negative latency percentile"
   else if p50 > p95 || p95 > p99 then
     Error (Printf.sprintf "%s leg latency percentiles not ordered" leg)
@@ -696,24 +626,20 @@ let validate_chaos_result r =
 let validate_bench json =
   let* version = need "schema_version" (member "schema_version" json) in
   let* version = as_int "schema_version" version in
-  if not (List.mem version accepted_versions) then
-    Error (Printf.sprintf "unsupported schema_version %d" version)
+  if version <> schema_version then
+    Error (Printf.sprintf "unsupported schema_version %d (want %d)" version schema_version)
   else
     let* kind = need "kind" (member "kind" json) in
     let* kind = as_str "kind" kind in
     let* results = need "results" (member "results" json) in
     let* results = as_arr "results" results in
     if results = [] then Error "empty results"
-    else if String.equal kind "traffic" && version < 4 then
-      Error (Printf.sprintf "traffic reports need schema_version >= 4, got %d" version)
-    else if String.equal kind "chaos" && version < 6 then
-      Error (Printf.sprintf "chaos reports need schema_version >= 6, got %d" version)
     else
       let check =
-        if String.equal kind "crash" then validate_crash_result
-        else if String.equal kind "traffic" then validate_traffic_result
-        else if String.equal kind "chaos" then validate_chaos_result
-        else validate_result ~version
+        match kind with
+        | "crash" -> validate_crash_result
+        | "traffic" | "chaos" -> validate_leg
+        | _ -> validate_result
       in
       List.fold_left
         (fun acc r ->
@@ -841,6 +767,39 @@ let validate_batch_gain json =
          "batched execution shows no gain: %.3fs at batch %d vs %.3fs tuple-at-a-time"
          batch_seconds size tuple_seconds)
   else Ok ()
+
+(* A lint report (`xqdb-lint --out`): the current [schema_version], the
+   tool stamp, a [count] matching the findings array, and a complete
+   rule/file/line/col/message on every finding. *)
+let validate_lint ~schema_version:want json =
+  let* version = need "schema_version" (member "schema_version" json) in
+  let* version = as_int "schema_version" version in
+  let* tool = need "tool" (member "tool" json) in
+  let* tool = as_str "tool" tool in
+  let* findings = need "findings" (member "findings" json) in
+  let* findings = as_arr "findings" findings in
+  let* count = int_field json "count" in
+  if version <> want then
+    Error (Printf.sprintf "unsupported schema_version %d (want %d)" version want)
+  else if not (String.equal tool "xqdb-lint") then
+    Error (Printf.sprintf "tool is %S, want \"xqdb-lint\"" tool)
+  else if count <> List.length findings then
+    Error
+      (Printf.sprintf "count %d does not match %d finding(s)" count (List.length findings))
+  else
+    List.fold_left
+      (fun acc f ->
+        let* () = acc in
+        let field name check =
+          let* v = need name (member name f) in
+          Result.map ignore (check name v)
+        in
+        let* () = field "rule" as_str in
+        let* () = field "file" as_str in
+        let* () = field "line" as_number in
+        let* () = field "col" as_number in
+        field "message" as_str)
+      (Ok ()) findings
 
 let parse_file path =
   let ic = open_in_bin path in

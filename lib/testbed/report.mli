@@ -6,15 +6,11 @@
     engine profiles and efficiency tables the benches emit as
     [BENCH_*.json], and a sanity validator CI runs over those files.
 
-    Schema, stable across the [schema_version] field (version 2 added
-    the per-run planner counters [templates_built], [template_binds] and
-    [prepared_cache_hits]; version 3 the durability counters
-    [wal_appends], [wal_checkpoints] and [recovery_replayed]; version 4
-    the ["traffic"] kind; version 5 per-operator [batches] counts and
-    the fig7 [batch] comparison object; older files are still accepted):
+    Schema, at exactly one [schema_version] (7; the validator rejects
+    every other version):
 
     {v
-    { "schema_version": 5,
+    { "schema_version": 7,
       "kind": "fig7" | "ablations" | "milestones" | "templates",
       "budget": int,              (fig7 only)
       "results": [
@@ -42,14 +38,16 @@
     [{ "trial": int, "query": str, "events_total": int, "point": int,
     "torn": bool, "crashed": bool, "ok": bool, "detail": str }].
 
-    Traffic reports ([kind = "traffic"], {!traffic_json}, v4+) carry the
-    run aggregates ([sessions], [requests_per_session], [seed], [scale],
-    [mode], [wall_seconds], [throughput], [mismatches], [p50_ms],
-    [p95_ms], [p99_ms]) at the top level and one result object per
-    session: [{ "session": int, "requests": int, "ok": int,
-    "budget_exceeded": int, "errors": int, "io_errors": int,
-    "bad_requests": int, "mismatches": int, "p50_ms": float,
-    "p95_ms": float, "p99_ms": float }]. *)
+    Traffic ([kind = "traffic"], {!traffic_json}) and chaos
+    ([kind = "chaos"], {!chaos_json}) reports carry their run
+    aggregates at the top level and one {e leg} per result:
+    [{ "leg": str, "requests": int, "ok": int, "budget_exceeded": int,
+    "timeouts": int, "errors": int, "io_errors": int,
+    "bad_requests": int, "unavailable": int, "mismatches": int,
+    "untyped": int, "p50_ms": float, "p95_ms": float,
+    "p99_ms": float }].  The validator requires the status counts to
+    partition [requests], zero [mismatches], zero [untyped], and
+    non-negative, ordered percentiles. *)
 
 type json =
   | Null
@@ -85,7 +83,7 @@ val result_json :
 
 val cell_json : Efficiency.cell -> json
 
-(** The batch-vs-tuple comparison a fig7 report can carry (v5): the same
+(** The batch-vs-tuple comparison a fig7 report can carry: the same
     engines and workload measured at the configured batch size and again
     degraded to one-row batches through the identical operator code,
     with each run's engines ranked by total censored-capped page I/O. *)
@@ -105,17 +103,14 @@ val crash_json : Differential.crash_report -> json
 (** A crash-point sweep: [kind = "crash"], one result per crash point. *)
 
 val traffic_json : Traffic.report -> json
-(** A traffic run: [kind = "traffic"], one result per session.  The
-    validator additionally requires zero oracle mismatches, outcome
-    counts that partition each session's requests, and ordered latency
-    percentiles. *)
+(** A traffic run: [kind = "traffic"], one leg per session. *)
 
 val chaos_json : Chaos.report -> json
-(** A chaos run: [kind = "chaos"], one result per leg (fault-free
-    baseline, then chaos).  The validator requires outcome counts that
-    partition each leg's requests, zero untyped escapes, zero oracle
-    mismatches and ordered latency percentiles; chaos reports need
-    schema_version >= 6. *)
+(** A chaos run: [kind = "chaos"], one leg per traffic leg (fault-free
+    baseline, then chaos). *)
+
+val schema_version : int
+(** The one report version written and accepted (7). *)
 
 val bench_json :
   kind:string ->
@@ -138,7 +133,7 @@ val validate_constant_templates : json -> (unit, string) result
 (** The compile-once invariant: within one report, every (engine, test)
     pair must show the same [templates_built] across all its results —
     a scaling sweep whose template count grows with data size means
-    planning happens per outer tuple again.  Requires a v2 report. *)
+    planning happens per outer tuple again. *)
 
 val validate_structural_gain : json -> (unit, string) result
 (** The structural-index payoff gate over a [BENCH_structural.json]
@@ -150,8 +145,13 @@ val validate_batch_gain : json -> (unit, string) result
 (** The vectorization payoff gate over a [BENCH_fig7.json] report: the
     [batch] comparison object must be present, the batched run must be
     strictly faster than the tuple-at-a-time run, and the engine
-    rankings of the two runs must agree.  Requires a v5 report with the
-    comparison recorded. *)
+    rankings of the two runs must agree. *)
+
+val validate_lint : schema_version:int -> json -> (unit, string) result
+(** The check [testbed check-lint] applies to an [xqdb-lint] JSON
+    report: [schema_version] equal to the given one, [tool] is
+    [xqdb-lint], [count] matches the [findings] array, and every
+    finding carries [rule]/[file]/[line]/[col]/[message]. *)
 
 val parse_file : string -> (json, string) result
 

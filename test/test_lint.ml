@@ -309,35 +309,32 @@ let test_validate_json () =
     L.Finding.v ~rule:"L7" ~file:"lib/storage/seeded.ml" ~line:3 ~col:4
       "top-level ref `shared`"
   in
-  let ok = function Ok () -> true | Error _ -> false in
-  Alcotest.(check bool) "rendered report validates" true
-    (ok (L.Driver.validate_json (L.Driver.render_json [ f ])));
-  Alcotest.(check bool) "empty report validates" true
-    (ok (L.Driver.validate_json (L.Driver.render_json [])));
-  Alcotest.(check bool) "garbage rejected" false (ok (L.Driver.validate_json "not json"));
-  Alcotest.(check bool) "truncated rejected" false
-    (ok (L.Driver.validate_json {|{"schema_version": 2,|}));
+  (* `testbed check-lint`'s path: the testbed's JSON reader, then the
+     lint-report check. *)
+  let ok text =
+    match
+      Result.bind (Xqdb_testbed.Report.parse text)
+        (Xqdb_testbed.Report.validate_lint ~schema_version:L.Driver.schema_version)
+    with
+    | Ok () -> true
+    | Error _ -> false
+  in
+  Alcotest.(check bool) "rendered report validates" true (ok (L.Driver.render_json [ f ]));
+  Alcotest.(check bool) "empty report validates" true (ok (L.Driver.render_json []));
+  Alcotest.(check bool) "garbage rejected" false (ok "not json");
+  Alcotest.(check bool) "truncated rejected" false (ok {|{"schema_version": 2,|});
   Alcotest.(check bool) "future schema rejected" false
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 99, "tool": "xqdb-lint", "count": 0, "findings": []}|}));
-  Alcotest.(check bool) "v1 still accepted" true
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 1, "tool": "xqdb-lint", "count": 0, "findings": []}|}));
+    (ok {|{"schema_version": 99, "tool": "xqdb-lint", "count": 0, "findings": []}|});
+  Alcotest.(check bool) "v1 rejected" false
+    (ok {|{"schema_version": 1, "tool": "xqdb-lint", "count": 0, "findings": []}|});
   Alcotest.(check bool) "wrong tool rejected" false
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 2, "tool": "other", "count": 0, "findings": []}|}));
+    (ok {|{"schema_version": 2, "tool": "other", "count": 0, "findings": []}|});
   Alcotest.(check bool) "count mismatch rejected" false
-    (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 2, "tool": "xqdb-lint", "count": 2, "findings": []}|}));
+    (ok {|{"schema_version": 2, "tool": "xqdb-lint", "count": 2, "findings": []}|});
   Alcotest.(check bool) "incomplete finding rejected" false
     (ok
-       (L.Driver.validate_json
-          {|{"schema_version": 2, "tool": "xqdb-lint", "count": 1,
-             "findings": [{"rule":"L7","file":"x.ml","line":3}]}|}))
+       {|{"schema_version": 2, "tool": "xqdb-lint", "count": 1,
+          "findings": [{"rule":"L7","file":"x.ml","line":3}]}|})
 
 (* --- the repo itself is clean --------------------------------------------- *)
 

@@ -50,6 +50,31 @@ let test_disk_file () =
   S.Disk.close disk;
   Sys.remove path
 
+(* A read must see the last write to its page even when an earlier read
+   of a neighbouring page is still fresh: the stale copy would be a valid
+   page, so only the contents can tell. *)
+let check_read_after_write name disk c =
+  ignore (S.Disk.read_page disk 1);
+  let page = S.Disk.read_page disk 2 in
+  Bytes.set page 100 c;
+  S.Disk.write_page disk 2 page;
+  Alcotest.(check char) (name ^ ": read sees the write") c
+    (Bytes.get (S.Disk.read_page disk 2) 100)
+
+let test_disk_file_read_after_write () =
+  let path = Filename.temp_file "xqdb_test" ".db" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let disk = S.Disk.on_file ~page_size:256 path in
+      for _ = 1 to 3 do ignore (S.Disk.alloc disk) done;
+      check_read_after_write "on_file" disk 'Z';
+      S.Disk.close disk;
+      let disk = S.Disk.open_existing ~page_size:256 path in
+      Alcotest.(check int) "reopened page count" 4 (S.Disk.page_count disk);
+      check_read_after_write "open_existing" disk 'Y';
+      S.Disk.close disk)
+
 (* --- buffer pool ---------------------------------------------------------- *)
 
 let test_buffer_pool () =
@@ -1407,7 +1432,9 @@ let () =
   Alcotest.run "storage"
     [ ( "disk",
         [ Alcotest.test_case "in-memory" `Quick test_disk_mem;
-          Alcotest.test_case "file-backed" `Quick test_disk_file ] );
+          Alcotest.test_case "file-backed" `Quick test_disk_file;
+          Alcotest.test_case "file reads see writes" `Quick
+            test_disk_file_read_after_write ] );
       ( "buffer pool",
         [ Alcotest.test_case "eviction and persistence" `Quick test_buffer_pool;
           Alcotest.test_case "all pinned" `Quick test_pool_all_pinned;
