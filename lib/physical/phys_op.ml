@@ -10,25 +10,44 @@ type ctx = {
   params : Tuple.params;
   batch_size : int;
   scan_domains : int;
+  mutable work_left : int;
 }
 (* Owned by the query's driving domain; par_scan workers only read the
    immutable fields and return their batches to the owner. *)
 [@@domain_local]
 
+(* Budget polling is paced by work, not by output.  The joins and the
+   disk spool charge one unit for each outer row they probe, each inner
+   row they test, and each row they spool or replay; every
+   [poll_every] units the budget is checked.  A join that emits nothing
+   therefore still polls, and a censored run stops within [poll_every]
+   units of work past its limit. *)
+let poll_every = 64
+
 let make_ctx ?budget ?(params = Tuple.no_params) ?(batch_size = 256)
     ?(scan_domains = 1) store =
   if batch_size < 1 then invalid_arg "Phys_op.make_ctx: batch_size must be positive";
   if scan_domains < 1 then invalid_arg "Phys_op.make_ctx: scan_domains must be positive";
-  { store; pool = Store.pool store; budget; params; batch_size; scan_domains }
+  { store; pool = Store.pool store; budget; params; batch_size; scan_domains;
+    work_left = poll_every }
 
 let with_params ctx params = { ctx with params }
 
-let set_budget ctx budget = ctx.budget <- budget
+let set_budget ctx budget =
+  ctx.budget <- budget;
+  ctx.work_left <- poll_every
 
 let tick ctx =
   match ctx.budget with
   | None -> ()
   | Some b -> Budget.check b
+
+let work ctx =
+  ctx.work_left <- ctx.work_left - 1;
+  if ctx.work_left <= 0 then begin
+    ctx.work_left <- poll_every;
+    tick ctx
+  end
 
 (* Which preds/operands read parameter slots — decides whether a cache
    built below them survives a rebind. *)
@@ -204,19 +223,24 @@ let rec pp_info ppf i =
 
 let info_to_string i = Format.asprintf "%a" pp_info i
 
-let drain op =
+(* Reset [op] and hand every row of its output to [f], batch by batch. *)
+let iter_rows op f =
   op.reset ();
-  let acc = ref [] in
   let rec go () =
     match op.next_batch () with
-    | None -> List.rev !acc
+    | None -> ()
     | Some b ->
       for i = 0 to b.Tuple.len - 1 do
-        acc := Tuple.batch_row b i :: !acc
+        f b i
       done;
       go ()
   in
   go ()
+
+let drain op =
+  let acc = ref [] in
+  iter_rows op (fun b i -> acc := Tuple.batch_row b i :: !acc);
+  List.rev !acc
 
 let count op =
   op.reset ();
@@ -227,62 +251,16 @@ let count op =
   in
   go 0
 
-(* A tuple-at-a-time view of a child's batch stream, for operators whose
-   inner logic is inherently row-wise (joins, sorts, spools).  Rows are
-   materialized lazily and the current batch is fully consumed before
-   the child is asked for the next one, so batch reuse is safe. *)
-type cursor = {
-  pull : unit -> Tuple.t option;
-  restart : unit -> unit;  (* reset the child and forget the held batch *)
-}
-
-let cursor_of op =
-  let held = ref None in
-  let idx = ref 0 in
-  let rec pull () =
-    match !held with
-    | Some b when !idx < b.Tuple.len ->
-      let t = Tuple.batch_row b !idx in
-      incr idx;
-      Some t
-    | _ ->
-      (match op.next_batch () with
-       | None ->
-         held := None;
-         idx := 0;
-         None
-       | Some b ->
-         held := Some b;
-         idx := 0;
-         pull ())
-  in
-  { pull;
-    restart =
-      (fun () ->
-        op.reset ();
-        held := None;
-        idx := 0) }
-
 let out_batch ctx schema = Tuple.batch_create ~width:(List.length schema) ctx.batch_size
 
-(* Wrap a row generator into a batch producer over a reusable output
-   batch; the budget is polled once per batch. *)
-let batched ctx ~schema gen =
-  let b = out_batch ctx schema in
-  fun () ->
-    tick ctx;
-    Tuple.batch_clear b;
-    let rec fill () =
-      if Tuple.batch_full b then ()
-      else
-        match gen () with
-        | None -> ()
-        | Some tuple ->
-          Tuple.batch_push b tuple;
-          fill ()
-    in
-    fill ();
-    if b.Tuple.len = 0 then None else Some b
+(* A reusable batch of at least [cap] rows, reallocated only to grow. *)
+let ensure_out out ~width cap =
+  match !out with
+  | Some b when b.Tuple.cap >= cap -> b
+  | Some _ | None ->
+    let b = Tuple.batch_create ~width (Int.max 1 cap) in
+    out := Some b;
+    b
 
 let preds_detail preds =
   String.concat " ∧ " (List.map Xqdb_tpm.Tpm_print.pred_to_string preds)
@@ -333,7 +311,7 @@ let xasr_page_scan ctx ~schema ~preds ~info ~make_pages =
         else
           match pages () with
           | None -> exhausted := true
-          | Some arr ->
+          | Some (_, arr) ->
             pending := arr;
             pos := 0
       done;
@@ -389,7 +367,7 @@ let label_scan ctx alias ~ntype ~value ~preds =
         else
           match pages () with
           | None -> exhausted := true
-          | Some arr ->
+          | Some (_, arr) ->
             pending := arr;
             pos := 0
       done;
@@ -459,7 +437,7 @@ let par_scan_fill ctx ~keep ~domains () =
         tick ctx;
         match pages () with
         | None -> ()
-        | Some arr ->
+        | Some (_, arr) ->
           Array.iter
             (fun xt ->
               let tuple = Tuple.of_xasr xt in
@@ -484,6 +462,78 @@ let par_scan_fill ctx ~keep ~domains () =
       List.concat_map (function Ok part -> part | Error e -> raise e) outcomes
   end
 
+(* --- disk spools --------------------------------------------------------- *)
+
+(* Spool a child's rows to a fresh heap file: one unit of work per row. *)
+let spool_fill ctx child =
+  let hf = Xqdb_storage.Heap_file.create ctx.pool in
+  iter_rows child (fun b i ->
+      work ctx;
+      ignore (Xqdb_storage.Heap_file.append hf (Tuple.encode_row b i)));
+  hf
+
+(* One pass over a spool, a page at a time: each page is read in one
+   pool access and decoded into a reused column block.  A reader that
+   pulls a record at a time touches its current page on every pull, so
+   a [next_batch] call that resumes a pass paused on a page touches that
+   page once more ({!spool_resume}) before going on: the buffer pool
+   sees the same LRU sequence of pages as under such a reader, and the
+   query does the same page I/O. *)
+type spool_pass = {
+  sp_pool : Xqdb_storage.Buffer_pool.t;
+  sp_width : int;
+  sp_block : Tuple.batch option ref;
+  mutable sp_file : Xqdb_storage.Heap_file.t option;
+  mutable sp_page : int;  (* page the block was read from; -1 before the first *)
+  mutable sp_next : int;  (* next page of the chain; 0 after the last *)
+}
+[@@domain_local]
+
+let spool_pass ctx width =
+  { sp_pool = ctx.pool; sp_width = width; sp_block = ref None; sp_file = None;
+    sp_page = -1; sp_next = 0 }
+
+let spool_start p hf =
+  p.sp_file <- Some hf;
+  p.sp_page <- -1;
+  p.sp_next <- Xqdb_storage.Heap_file.first_page hf
+
+(* The next page's rows, or [None] at the end of the pass. *)
+let spool_next p =
+  match p.sp_file with
+  | Some hf when p.sp_next <> 0 ->
+    let records, next = Xqdb_storage.Heap_file.read_page hf p.sp_next in
+    p.sp_page <- p.sp_next;
+    p.sp_next <- next;
+    let b = ensure_out p.sp_block ~width:p.sp_width (Array.length records) in
+    Tuple.batch_clear b;
+    Array.iter (Tuple.batch_push_encoded b) records;
+    Some b
+  | Some _ | None -> None
+
+let touch pool page = Xqdb_storage.Buffer_pool.with_page pool page ignore
+
+let spool_resume p = if p.sp_page >= 0 then touch p.sp_pool p.sp_page
+
+(* Drain an operator into one column block: the in-memory inner of a
+   join, decoded once and tested in place on every pass. *)
+let drain_block op =
+  op.reset ();
+  let width = List.length op.schema in
+  let rec go chunks n =
+    match op.next_batch () with
+    | None -> (List.rev chunks, n)
+    | Some b ->
+      let len = b.Tuple.len in
+      go (Array.map (fun col -> Array.sub col 0 len) b.Tuple.cols :: chunks) (n + len)
+  in
+  match go [] 0 with
+  | _, 0 -> Tuple.batch_create ~width 1
+  | chunks, n ->
+    { Tuple.cols = Array.init width (fun c -> Array.concat (List.map (fun ch -> ch.(c)) chunks));
+      cap = n;
+      len = n }
+
 (* --- joins ------------------------------------------------------------- *)
 
 type probe =
@@ -491,107 +541,155 @@ type probe =
   | Probe_desc of A.operand * A.operand
   | Probe_pk of A.operand
 
+(* The outer side of a join, read in place: the current outer row is
+   row [o_row] of [o_batch].  The child is pulled only when another row
+   is wanted. *)
+type outer = {
+  o_src : t;
+  mutable o_batch : Tuple.batch;
+  mutable o_row : int;
+}
+[@@domain_local]
+
+let outer_of src = { o_src = src; o_batch = Tuple.batch_create ~width:0 1; o_row = 0 }
+
+let outer_restart o =
+  o.o_src.reset ();
+  o.o_batch <- Tuple.batch_create ~width:0 1;
+  o.o_row <- 0
+
+let outer_advance o =
+  if o.o_row + 1 < o.o_batch.Tuple.len then begin
+    o.o_row <- o.o_row + 1;
+    true
+  end
+  else
+    match o.o_src.next_batch () with
+    | None ->
+      o.o_batch <- Tuple.batch_create ~width:0 1;
+      false
+    | Some b ->
+      o.o_batch <- b;
+      o.o_row <- 0;
+      true
+
+(* The loop the nested-loop family shares.  For each outer row,
+   [start batch row] begins a pass over the inner side and [next_block]
+   yields the pass as windows [(block, first, last)] of rows; [test]
+   decides each (outer row, inner row) pair in place, and matches are
+   copied into the output batch.  A semijoin ends the pass at its first
+   match.  A call that finds a pass paused by a full output batch calls
+   [resume] before going on.  Each outer row and each inner row tested
+   is one unit of {!work}. *)
+let join_loop ctx ~semi ~schema ~test ~start ~next_block ~resume left =
+  let outer = outer_of left in
+  let out = out_batch ctx schema in
+  let live = ref false in
+  let block = ref out in
+  let pos = ref 0 in
+  let last = ref 0 in
+  let next_batch () =
+    Tuple.batch_clear out;
+    if !live then resume ();
+    let rec go () =
+      if Tuple.batch_full out then ()
+      else if not !live then begin
+        if outer_advance outer then begin
+          work ctx;
+          start outer.o_batch outer.o_row;
+          live := true;
+          pos := 0;
+          last := 0;
+          go ()
+        end
+      end
+      else if !pos < !last then begin
+        let ob = outer.o_batch and oi = outer.o_row and ib = !block in
+        let j = ref !pos in
+        while !j < !last && !live && not (Tuple.batch_full out) do
+          work ctx;
+          let r = !j in
+          incr j;
+          if test ob oi ib r then begin
+            Tuple.batch_copy_pair ob oi ib r out;
+            if semi then live := false
+          end
+        done;
+        pos := !j;
+        go ()
+      end
+      else
+        match next_block () with
+        | None ->
+          live := false;
+          go ()
+        | Some (b, first, stop) ->
+          block := b;
+          pos := first;
+          last := stop;
+          go ()
+    in
+    go ();
+    if out.Tuple.len = 0 then None else Some out
+  in
+  let reset () =
+    outer_restart outer;
+    live := false
+  in
+  (next_batch, reset)
+
+let whole b = Some (b, 0, b.Tuple.len)
+
 let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
   let schema = left.schema @ right.schema in
-  let keep = Tuple.compile_preds ~params:ctx.params schema preds in
-  let left_cur = cursor_of left in
+  let keep = Tuple.compile_preds_pair ~params:ctx.params left.schema right.schema preds in
   (* Inner-side cache.  [clear] drops it on rebind, but only when the
      inner subtree reads parameter slots — a parameter-independent inner
      cache is valid for every outer binding and surviving rebinds is the
      template payoff. *)
-  let inner_next, inner_rewind, inner_clear, cache_detail =
+  let start, next_block, resume, inner_clear, cache_detail =
     match materialize_inner with
     | `None ->
-      let rc = cursor_of right in
-      (rc.pull, rc.restart, ignore, "recompute")
+      ((fun _ _ -> right.reset ()), (fun () -> Option.bind (right.next_batch ()) whole),
+       ignore, ignore, "recompute")
     | `Mem ->
       let cache = ref None in
-      let pos = ref [] in
-      let fill () =
+      let pending = ref None in
+      let start _ _ =
         match !cache with
-        | Some c -> c
+        | Some b -> pending := Some b
         | None ->
-          let c = drain right in
-          cache := Some c;
-          c
+          let b = drain_block right in
+          cache := Some b;
+          pending := Some b
       in
       let next () =
-        match !pos with
-        | [] -> None
-        | tuple :: rest ->
-          pos := rest;
-          Some tuple
+        let b = !pending in
+        pending := None;
+        Option.bind b whole
       in
-      let clear () =
-        cache := None;
-        pos := []
-      in
-      (next, (fun () -> pos := fill ()), clear, "inner in memory")
+      (start, next, ignore, (fun () -> cache := None), "inner in memory")
     | `Disk ->
-      let rc = cursor_of right in
       let spool = ref None in
-      let cursor = ref (fun () -> None) in
-      let fill () =
+      let pass = spool_pass ctx (List.length right.schema) in
+      let start _ _ =
         match !spool with
-        | Some hf -> hf
+        | Some hf -> spool_start pass hf
         | None ->
-          let hf = Xqdb_storage.Heap_file.create ctx.pool in
-          rc.restart ();
-          let rec go () =
-            match rc.pull () with
-            | None -> ()
-            | Some tuple ->
-              ignore (Xqdb_storage.Heap_file.append hf (Tuple.encode tuple));
-              go ()
-          in
-          go ();
+          let hf = spool_fill ctx right in
           spool := Some hf;
-          hf
+          spool_start pass hf
       in
-      let next () =
-        match !cursor () with
-        | None -> None
-        | Some data -> Some (Tuple.decode data)
-      in
-      let clear () =
-        spool := None;
-        cursor := (fun () -> None)
-      in
-      (next, (fun () -> cursor := Xqdb_storage.Heap_file.scan (fill ())), clear, "inner on disk")
+      ( start,
+        (fun () -> Option.bind (spool_next pass) whole),
+        (fun () -> spool_resume pass),
+        (fun () -> spool := None),
+        "inner on disk" )
   in
-  let current_left = ref None in
-  let gen () =
-    let rec step () =
-      match !current_left with
-      | None ->
-        (match left_cur.pull () with
-         | None -> None
-         | Some l ->
-           current_left := Some l;
-           inner_rewind ();
-           step ())
-      | Some l ->
-        (match inner_next () with
-         | None ->
-           current_left := None;
-           step ()
-         | Some r ->
-           let tuple = Tuple.concat l r in
-           if keep tuple then begin
-             (* Semijoin mode: one match per outer tuple suffices. *)
-             if semi then current_left := None;
-             Some tuple
-           end
-           else step ())
-    in
-    step ()
+  let next_batch, reset =
+    join_loop ctx ~semi ~schema ~test:keep ~start ~next_block ~resume left
   in
-  let reset () =
-    left_cur.restart ();
-    current_left := None
-  in
-  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left; right]
-    ~next_batch:(batched ctx ~schema gen) ~reset
+  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left; right] ~next_batch ~reset
     ~param_dep:(preds_param_dep preds)
     ~clear:(if right.param_dep then inner_clear else ignore)
     ~info:
@@ -606,75 +704,72 @@ let nl_join ?(materialize_inner = `Mem) ?(semi = false) ~preds left right ctx =
 let bnl_join ?(block_size = 64) ~preds left right ctx =
   if block_size < 1 then invalid_arg "Phys_op.bnl_join: block_size must be positive";
   let schema = left.schema @ right.schema in
-  let keep = Tuple.compile_preds ~params:ctx.params schema preds in
-  let left_cur = cursor_of left in
-  (* The inner is spooled once; each block replays it. *)
+  let keep = Tuple.compile_preds_pair ~params:ctx.params left.schema right.schema preds in
+  let outer = outer_of left in
+  (* The inner is drained once; each block of outer rows replays it. *)
   let inner = ref None in
   let fill_inner () =
     match !inner with
-    | Some tuples -> tuples
+    | Some b -> b
     | None ->
-      let tuples = drain right in
-      inner := Some tuples;
-      tuples
+      let b = drain_block right in
+      inner := Some b;
+      b
   in
-  let block = ref [||] in
-  let remaining_inner = ref [] in
-  let block_pos = ref 0 in
+  let block = Tuple.batch_create ~width:(List.length left.schema) block_size in
+  let ib = ref block in
+  let r = ref 0 in
+  let l = ref 0 in
   let exhausted = ref false in
   let refill_block () =
-    let buf = ref [] in
-    let rec take n =
-      if n > 0 then
-        match left_cur.pull () with
-        | None -> ()
-        | Some l ->
-          buf := l :: !buf;
-          take (n - 1)
-    in
-    take block_size;
-    block := Array.of_list (List.rev !buf);
-    if Array.length !block = 0 then exhausted := true
+    Tuple.batch_clear block;
+    while (not (Tuple.batch_full block)) && outer_advance outer do
+      Tuple.batch_copy_row outer.o_batch outer.o_row block
+    done;
+    if block.Tuple.len = 0 then exhausted := true
     else begin
-      remaining_inner := fill_inner ();
-      block_pos := 0
+      ib := fill_inner ();
+      r := 0;
+      l := 0
     end
   in
-  let rec gen () =
-    if !exhausted then None
-    else if Array.length !block = 0 then begin
-      refill_block ();
-      gen ()
-    end
-    else
-      match !remaining_inner with
-      | [] ->
-        (* Block done: fetch the next block of outer tuples. *)
-        block := [||];
+  let out = out_batch ctx schema in
+  (* Inner-major within a block: each inner row meets every row of the
+     block before the next inner row is read. *)
+  let next_batch () =
+    Tuple.batch_clear out;
+    let rec go () =
+      if Tuple.batch_full out || !exhausted then ()
+      else if block.Tuple.len = 0 || !r >= (!ib).Tuple.len then begin
         refill_block ();
-        gen ()
-      | r :: rest ->
-        if !block_pos >= Array.length !block then begin
-          remaining_inner := rest;
-          block_pos := 0;
-          gen ()
-        end
-        else begin
-          let l = (!block).(!block_pos) in
-          incr block_pos;
-          let tuple = Tuple.concat l r in
-          if keep tuple then Some tuple else gen ()
-        end
+        go ()
+      end
+      else if !l >= block.Tuple.len then begin
+        incr r;
+        l := 0;
+        go ()
+      end
+      else begin
+        let rb = !ib and ri = !r in
+        while !l < block.Tuple.len && not (Tuple.batch_full out) do
+          work ctx;
+          if keep block !l rb ri then Tuple.batch_copy_pair block !l rb ri out;
+          incr l
+        done;
+        go ()
+      end
+    in
+    go ();
+    if out.Tuple.len = 0 then None else Some out
   in
   let reset () =
-    left_cur.restart ();
-    block := [||];
-    remaining_inner := [];
-    block_pos := 0;
+    outer_restart outer;
+    Tuple.batch_clear block;
+    r := 0;
+    l := 0;
     exhausted := false
   in
-  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left; right]
-    ~next_batch:(batched ctx ~schema gen) ~reset
+  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left; right] ~next_batch ~reset
     ~param_dep:(preds_param_dep preds)
     ~clear:(if right.param_dep then (fun () -> inner := None) else ignore)
     ~info:
@@ -685,83 +780,117 @@ let bnl_join ?(block_size = 64) ~preds left right ctx =
         children = [left.info; right.info] }
     ()
 
+(* A one-row block holding a fetched XASR tuple. *)
+let stage_one blk xt =
+  let b = ensure_out blk ~width:5 1 in
+  Tuple.batch_clear b;
+  stage_xasr b xt;
+  b.Tuple.len <- 1;
+  (b, 0, 1)
+
 let inl_join ?(semi = false) ctx ~probe ~alias ~preds ~residual left =
   let inner_schema = Tuple.xasr_schema alias in
   let schema = left.schema @ inner_schema in
-  let keep_inner = Tuple.compile_preds ~params:ctx.params inner_schema preds in
-  let keep_residual = Tuple.compile_preds ~params:ctx.params schema residual in
+  let keep_inner = Tuple.compile_preds_batch ~params:ctx.params inner_schema preds in
+  let keep_residual =
+    Tuple.compile_preds_pair ~params:ctx.params left.schema inner_schema residual
+  in
   let as_int = function
     | Tuple.I v -> v
     | Tuple.S s -> invalid_arg (Printf.sprintf "inl_join: non-integer probe value %S" s)
   in
+  let operand op = Tuple.compile_operand_batch ~params:ctx.params left.schema op in
   let probe_param_dep =
     match probe with
     | Probe_child op | Probe_pk op -> operand_param_dep op
     | Probe_desc (i, o) -> operand_param_dep i || operand_param_dep o
   in
-  let make_probe =
+  let blk = ref None in
+  (* Each probe yields the inner tuples of one outer row as blocks: a
+     whole primary leaf for [Probe_desc], one fetched tuple otherwise.
+     Page touches keep the order of the row-at-a-time index cursors. *)
+  let start, next_block, resume =
     match probe with
     | Probe_child op ->
-      let v = Tuple.compile_operand ~params:ctx.params left.schema op in
-      fun l ->
-        let ins = Store.children_ins ctx.store (as_int (v l)) in
-        let pull () =
-          match ins () with
+      let v = operand op in
+      let pages = ref (fun () -> None) in
+      let leaf = ref (-1) in
+      let ins = ref [||] in
+      let next = ref 0 in
+      (* Set after a fetch: the row cursor touched its parent-index leaf
+         again before the next entry and before leaving the leaf. *)
+      let stale = ref false in
+      let start ob oi =
+        pages := Store.children_ins_pages ctx.store (as_int (v ob oi));
+        ins := [||];
+        next := 0;
+        stale := false
+      in
+      let rec next_block () =
+        if !stale then begin
+          touch ctx.pool !leaf;
+          stale := false
+        end;
+        if !next < Array.length !ins then begin
+          let nin = (!ins).(!next) in
+          incr next;
+          match Store.fetch ctx.store nin with
+          | None -> Xqdb_storage.Xqdb_error.corrupt "inl_join: dangling parent-index entry"
+          | Some xt ->
+            stale := true;
+            Some (stage_one blk xt)
+        end
+        else
+          match !pages () with
           | None -> None
-          | Some nin ->
-            (match Store.fetch ctx.store nin with
-             | None -> Xqdb_storage.Xqdb_error.corrupt "inl_join: dangling parent-index entry"
-             | Some xt -> Some xt)
-        in
-        pull
+          | Some (page, arr) ->
+            leaf := page;
+            ins := arr;
+            next := 0;
+            next_block ()
+      in
+      (start, next_block, ignore)
     | Probe_desc (in_op, out_op) ->
-      let vin = Tuple.compile_operand ~params:ctx.params left.schema in_op in
-      let vout = Tuple.compile_operand ~params:ctx.params left.schema out_op in
-      fun l -> Store.scan_in_range ctx.store ~lo:(as_int (vin l) + 1) ~hi:(as_int (vout l) - 1)
+      let vin = operand in_op in
+      let vout = operand out_op in
+      let pages = ref (fun () -> None) in
+      let leaf = ref (-1) in
+      let start ob oi =
+        pages :=
+          Store.scan_in_range_pages ctx.store ~lo:(as_int (vin ob oi) + 1)
+            ~hi:(as_int (vout ob oi) - 1);
+        leaf := -1
+      in
+      let next_block () =
+        match !pages () with
+        | None -> None
+        | Some (page, xts) ->
+          leaf := page;
+          let b = ensure_out blk ~width:5 (Array.length xts) in
+          Tuple.batch_clear b;
+          Array.iter
+            (fun xt ->
+              stage_xasr b xt;
+              b.Tuple.len <- b.Tuple.len + 1)
+            xts;
+          whole b
+      in
+      (start, next_block, fun () -> if !leaf >= 0 then touch ctx.pool !leaf)
     | Probe_pk op ->
-      let v = Tuple.compile_operand ~params:ctx.params left.schema op in
-      fun l ->
-        let fetched = ref false in
-        fun () ->
-          if !fetched then None
-          else begin
-            fetched := true;
-            Store.fetch ctx.store (as_int (v l))
-          end
+      let v = operand op in
+      let key = ref None in
+      let start ob oi = key := Some (as_int (v ob oi)) in
+      let next_block () =
+        let k = !key in
+        key := None;
+        Option.map (stage_one blk) (Option.bind k (Store.fetch ctx.store))
+      in
+      (start, next_block, ignore)
   in
-  let left_cur = cursor_of left in
-  let current = ref None in
-  let gen () =
-    let rec step () =
-      match !current with
-      | None ->
-        (match left_cur.pull () with
-         | None -> None
-         | Some l ->
-           current := Some (l, make_probe l);
-           step ())
-      | Some (l, cursor) ->
-        (match cursor () with
-         | None ->
-           current := None;
-           step ()
-         | Some xt ->
-           let inner = Tuple.of_xasr xt in
-           if keep_inner inner then begin
-             let tuple = Tuple.concat l inner in
-             if keep_residual tuple then begin
-               if semi then current := None;
-               Some tuple
-             end
-             else step ()
-           end
-           else step ())
-    in
-    step ()
-  in
-  let reset () =
-    left_cur.restart ();
-    current := None
+  let next_batch, reset =
+    join_loop ctx ~semi ~schema
+      ~test:(fun ob oi ib r -> keep_inner ib r && keep_residual ob oi ib r)
+      ~start ~next_block ~resume left
   in
   let probe_detail =
     match probe with
@@ -771,8 +900,7 @@ let inl_join ?(semi = false) ctx ~probe ~alias ~preds ~residual left =
         (Xqdb_tpm.Tpm_print.operand_to_string o)
     | Probe_pk op -> Printf.sprintf "%s.in = %s" alias (Xqdb_tpm.Tpm_print.operand_to_string op)
   in
-  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left]
-    ~next_batch:(batched ctx ~schema gen) ~reset
+  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left] ~next_batch ~reset
     ~param_dep:(probe_param_dep || preds_param_dep preds || preds_param_dep residual)
     ~info:
       { name = (if semi then "semi-inl-join" else "inl-join");
@@ -840,39 +968,47 @@ let par_scan ctx ~domains alias ~preds =
     ~fill:(par_scan_fill ctx ~keep ~domains)
 
 (* Staircase join over the structural index: the label's run is loaded
-   once into a sorted-by-[in] array (it never depends on parameters, so
-   it survives rebinds like a cached nl-join inner); each outer tuple
-   binary-searches its (lo, hi) interval and emits the contained
-   entries.  Output order matches {!inl_join} with [Probe_desc]:
-   outer-major, inner in document order — the property the index-vs-scan
-   differential oracle relies on. *)
+   once into a column block sorted by [in] (it never depends on
+   parameters, so it survives rebinds like a cached nl-join inner); each
+   outer row binary-searches its (lo, hi) interval and tests the
+   contained entries in place.  Output order matches {!inl_join} with
+   [Probe_desc]: outer-major, inner in document order — the property the
+   index-vs-scan differential oracle relies on. *)
 let struct_join ?(semi = false) ctx ~lo ~hi ~alias ~label ~preds ~residual left =
   let inner_schema = Tuple.xasr_schema alias in
   let schema = left.schema @ inner_schema in
-  let keep_inner = Tuple.compile_preds ~params:ctx.params inner_schema preds in
-  let keep_residual = Tuple.compile_preds ~params:ctx.params schema residual in
+  let keep_inner = Tuple.compile_preds_batch ~params:ctx.params inner_schema preds in
+  let keep_residual =
+    Tuple.compile_preds_pair ~params:ctx.params left.schema inner_schema residual
+  in
   let as_int = function
     | Tuple.I v -> v
     | Tuple.S s -> invalid_arg (Printf.sprintf "struct_join: non-integer bound %S" s)
   in
-  let vlo = Tuple.compile_operand ~params:ctx.params left.schema lo in
-  let vhi = Tuple.compile_operand ~params:ctx.params left.schema hi in
-  let entries = ref None in
+  let vlo = Tuple.compile_operand_batch ~params:ctx.params left.schema lo in
+  let vhi = Tuple.compile_operand_batch ~params:ctx.params left.schema hi in
+  let run = ref None in
   let load () =
-    match !entries with
+    match !run with
     | Some pair -> pair
     | None ->
       let pages = Store.struct_stream_pages ctx.store label in
       let rec go acc =
-        tick ctx;
         match pages () with
-        | None -> List.rev acc
-        | Some arr -> go (Array.fold_left (fun acc xt -> Tuple.of_xasr xt :: acc) acc arr)
+        | None -> Array.concat (List.rev acc)
+        | Some (_, xts) ->
+          Array.iter (fun _ -> work ctx) xts;
+          go (xts :: acc)
       in
-      let tuples = Array.of_list (go []) in
-      let ins = Array.map (fun t -> as_int t.(0)) tuples in
-      let pair = (tuples, ins) in
-      entries := Some pair;
+      let xts = go [] in
+      let b = Tuple.batch_create ~width:5 (Int.max 1 (Array.length xts)) in
+      Array.iter
+        (fun xt ->
+          stage_xasr b xt;
+          b.Tuple.len <- b.Tuple.len + 1)
+        xts;
+      let pair = (b, Array.map (fun xt -> xt.Xasr.nin) xts) in
+      run := Some pair;
       pair
   in
   (* First index whose [in] exceeds [bound]. *)
@@ -886,47 +1022,24 @@ let struct_join ?(semi = false) ctx ~lo ~hi ~alias ~label ~preds ~residual left 
     in
     go 0 (Array.length ins)
   in
-  let left_cur = cursor_of left in
-  let current = ref None in
-  let gen () =
-    let rec step () =
-      match !current with
-      | None ->
-        (match left_cur.pull () with
-         | None -> None
-         | Some l ->
-           let tuples, ins = load () in
-           let lo_v = as_int (vlo l) in
-           let hi_v = as_int (vhi l) in
-           current := Some (l, hi_v, ref (lower_bound ins lo_v), tuples, ins);
-           step ())
-      | Some (l, hi_v, idx, tuples, ins) ->
-        if !idx >= Array.length tuples || ins.(!idx) >= hi_v then begin
-          current := None;
-          step ()
-        end
-        else begin
-          let inner = tuples.(!idx) in
-          incr idx;
-          if keep_inner inner then begin
-            let tuple = Tuple.concat l inner in
-            if keep_residual tuple then begin
-              if semi then current := None;
-              Some tuple
-            end
-            else step ()
-          end
-          else step ()
-        end
-    in
-    step ()
+  let window = ref None in
+  let start ob oi =
+    let b, ins = load () in
+    (* The entries with lo < in < hi. *)
+    window :=
+      Some (b, lower_bound ins (as_int (vlo ob oi)), lower_bound ins (as_int (vhi ob oi) - 1))
   in
-  let reset () =
-    left_cur.restart ();
-    current := None
+  let next_block () =
+    let w = !window in
+    window := None;
+    w
   in
-  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left]
-    ~next_batch:(batched ctx ~schema gen) ~reset
+  let next_batch, reset =
+    join_loop ctx ~semi ~schema
+      ~test:(fun ob oi ib r -> keep_inner ib r && keep_residual ob oi ib r)
+      ~start ~next_block ~resume:ignore left
+  in
+  make ~schema ~ios_now:(ctx_ios ctx) ~kids:[left] ~next_batch ~reset
     ~param_dep:
       (operand_param_dep lo || operand_param_dep hi || preds_param_dep preds
       || preds_param_dep residual)
@@ -1181,14 +1294,6 @@ let twig_match ctx ~anchor ~steps =
    batch sized off the child's, skipping the row-generator machinery
    entirely. *)
 
-let ensure_out out ~width cap =
-  match !out with
-  | Some b when b.Tuple.cap >= cap -> b
-  | Some _ | None ->
-    let b = Tuple.batch_create ~width (max 1 cap) in
-    out := Some b;
-    b
-
 let filter ?params ~preds child =
   let keep = Tuple.compile_preds_batch ?params child.schema preds in
   let width = List.length child.schema in
@@ -1303,16 +1408,9 @@ let sort ?(dedup = false) ~mode ~key_cols child ctx =
       Xqdb_storage.Bytes_codec.compare_bytes (Tuple.key_of_encoded a) (Tuple.key_of_encoded b)
     in
     let sorter = Xqdb_storage.Ext_sort.create ctx.pool ~compare:compare_records in
-    let cur = cursor_of child in
-    cur.restart ();
-    let rec feed () =
-      match cur.pull () with
-      | None -> ()
-      | Some tuple ->
-        Xqdb_storage.Ext_sort.feed sorter (Tuple.encode_with_key ~key_positions:positions tuple);
-        feed ()
-    in
-    feed ();
+    iter_rows child (fun b i ->
+        Xqdb_storage.Ext_sort.feed sorter
+          (Tuple.encode_with_key ~key_positions:positions (Tuple.batch_row b i)));
     let cursor = Xqdb_storage.Ext_sort.sorted_cursor sorter in
     let rec collect acc =
       tick ctx;
@@ -1341,14 +1439,10 @@ let btree_sort ?(dedup = true) ~key_cols child ctx =
   let positions = key_positions child.schema key_cols in
   let fill () =
     let bt = Xqdb_storage.Btree.create ctx.pool in
-    let cur = cursor_of child in
-    cur.restart ();
     let seq = ref 0 in
-    let rec feed () =
-      tick ctx;
-      match cur.pull () with
-      | None -> ()
-      | Some tuple ->
+    iter_rows child (fun b i ->
+        tick ctx;
+        let tuple = Tuple.batch_row b i in
         let key =
           if dedup then Tuple.key_of_encoded (Tuple.encode_with_key ~key_positions:positions tuple)
           else begin
@@ -1361,10 +1455,7 @@ let btree_sort ?(dedup = true) ~key_cols child ctx =
             Buffer.to_bytes buf
           end
         in
-        Xqdb_storage.Btree.insert bt ~key ~value:(Tuple.encode tuple);
-        feed ()
-    in
-    feed ();
+        Xqdb_storage.Btree.insert bt ~key ~value:(Tuple.encode tuple));
     let cursor = Xqdb_storage.Btree.scan_range bt in
     let rec collect acc =
       tick ctx;
@@ -1393,47 +1484,59 @@ let materialize where child ctx =
       ~info:{ name = "materialize"; detail = "memory"; children = [child.info] }
       ~fill:(fun () -> drain child)
   | `Disk ->
+    (* The spool is filled on the first [reset] (or call) and replayed a
+       page at a time on every pass; a call resuming a pass touches its
+       page again, as {!spool_pass} explains. *)
     let spool = ref None in
-    let cursor = ref (fun () -> None) in
-    let cur = cursor_of child in
-    let fill () =
-      match !spool with
-      | Some hf -> hf
-      | None ->
-        let hf = Xqdb_storage.Heap_file.create ctx.pool in
-        cur.restart ();
-        let rec go () =
-          tick ctx;
-          match cur.pull () with
-          | None -> ()
-          | Some tuple ->
-            ignore (Xqdb_storage.Heap_file.append hf (Tuple.encode tuple));
-            go ()
-        in
-        go ();
-        spool := Some hf;
-        hf
-    in
+    let pass = spool_pass ctx (List.length child.schema) in
+    let live = ref false in
     let started = ref false in
-    let gen () =
-      if not !started then begin
-        started := true;
-        cursor := Xqdb_storage.Heap_file.scan (fill ())
-      end;
-      match !cursor () with
-      | None -> None
-      | Some data -> Some (Tuple.decode data)
+    let block = ref None in
+    let pos = ref 0 in
+    let begin_pass () =
+      started := true;
+      (match !spool with
+       | Some hf -> spool_start pass hf
+       | None ->
+         let hf = spool_fill ctx child in
+         spool := Some hf;
+         spool_start pass hf);
+      live := true;
+      block := None;
+      pos := 0
+    in
+    let out = out_batch ctx child.schema in
+    let next_batch () =
+      if not !started then begin_pass () else if !live then spool_resume pass;
+      Tuple.batch_clear out;
+      let rec go () =
+        if Tuple.batch_full out || not !live then ()
+        else
+          match !block with
+          | Some b when !pos < b.Tuple.len ->
+            while !pos < b.Tuple.len && not (Tuple.batch_full out) do
+              work ctx;
+              Tuple.batch_copy_row b !pos out;
+              incr pos
+            done;
+            go ()
+          | Some _ | None ->
+            (match spool_next pass with
+             | None -> live := false
+             | Some b ->
+               block := Some b;
+               pos := 0);
+            go ()
+      in
+      go ();
+      if out.Tuple.len = 0 then None else Some out
     in
     make ~schema:child.schema ~ios_now:(ctx_ios ctx) ~kids:[child]
       ~clear:
         (if child.param_dep then (fun () ->
              spool := None;
-             cursor := (fun () -> None);
+             live := false;
              started := false)
          else ignore)
       ~info:{ name = "materialize"; detail = "disk"; children = [child.info] }
-      ~next_batch:(batched ctx ~schema:child.schema gen)
-      ~reset:(fun () ->
-        started := true;
-        cursor := Xqdb_storage.Heap_file.scan (fill ()))
-      ()
+      ~next_batch ~reset:begin_pass ()

@@ -22,8 +22,23 @@
     - partitioned multicore scan ({!par_scan}) — the full scan split
       across OCaml domains over the domain-safe buffer pool.
 
-    All operators poll the context's {!Xqdb_storage.Budget} (once per
-    batch) so the testbed can censor over-budget plans. *)
+    Every operator polls the context's {!Xqdb_storage.Budget} so the
+    testbed can censor over-budget plans.  Scans poll once per batch.
+    The joins and the disk spool poll by work: they charge one unit per
+    outer row probed, per inner row tested, and per row spooled or
+    replayed, and check the budget every 64 units — so a join that
+    emits nothing still stops within a bounded amount of work past its
+    limit.
+
+    The joins are batch-native: the outer row is read in place from its
+    child's batch, the inner side is a column block (a cached relation,
+    a decoded spool page or index leaf, a fetched tuple), predicates are
+    tested on the (outer row, inner row) pair without concatenating it,
+    and only matches are copied out.  Spool pages and index leaves are
+    read one pool access per page per pass; a call that resumes a pass
+    partway through a page touches that page once more, so the buffer
+    pool sees the same LRU sequence — and the query the same page I/O —
+    as a row-at-a-time reader. *)
 
 module A := Xqdb_tpm.Tpm_algebra
 
@@ -39,6 +54,10 @@ type ctx = {
   batch_size : int;  (** rows per {!Tuple.batch} (validated positive) *)
   scan_domains : int;
       (** domains a {!par_scan} partitions over; 1 = sequential *)
+  mutable work_left : int;
+      (** units of work left before the next budget poll (see the
+          polling rule above); {!make_ctx} and {!set_budget} start it
+          afresh *)
 }
 
 val make_ctx :
@@ -159,21 +178,6 @@ val merge_profile : profile -> profile -> profile
 
 val drain : t -> Tuple.t list
 val count : t -> int
-
-(** {2 Row-wise consumption} *)
-
-type cursor = {
-  pull : unit -> Tuple.t option;
-      (** materialize the next row of the child's batch stream *)
-  restart : unit -> unit;
-      (** reset the child and forget the held batch *)
-}
-
-val cursor_of : t -> cursor
-(** A tuple-at-a-time view of an operator's batch stream, for consumers
-    whose logic is inherently row-wise.  The held batch is fully
-    consumed before the child is pulled again, so batch reuse is
-    safe. *)
 
 (* --- access paths --- *)
 

@@ -184,8 +184,62 @@ let compile_pred_batch ?params schema (p : A.pred) =
   | A.Gt -> fun b row -> value_compare (left b row) (right b row) > 0
 
 let compile_preds_batch ?params schema preds =
-  let compiled = List.map (compile_pred_batch ?params schema) preds in
-  fun b row -> List.for_all (fun p -> p b row) compiled
+  let rec all ps b row =
+    match ps with
+    | [] -> true
+    | p :: rest -> p b row && all rest b row
+  in
+  match List.map (compile_pred_batch ?params schema) preds with
+  | [p] -> p
+  | ps -> fun b row -> all ps b row
+
+(* Two-batch predicates for joins: operands read the outer batch's row
+   or the inner batch's row in place, so a candidate pair is never
+   concatenated.  Columns resolve against [left @ right] exactly as
+   {!compile_preds} resolves them against the concatenated schema. *)
+
+let compile_operand_pair ?params left right operand =
+  match operand with
+  | A.Ocol c ->
+    let i = position (left @ right) c in
+    let lw = List.length left in
+    if i < lw then fun lb li _ _ -> lb.cols.(i).(li)
+    else begin
+      let j = i - lw in
+      fun _ _ rb ri -> rb.cols.(j).(ri)
+    end
+  | A.Oint _ | A.Ostr _ | A.Otype _ | A.Oextern_in _ | A.Oextern_out _ ->
+    let v = compile_operand_batch ?params [] operand in
+    fun lb li _ _ -> v lb li
+
+let compile_pred_pair ?params left right (p : A.pred) =
+  let l = compile_operand_pair ?params left right p.A.left in
+  let r = compile_operand_pair ?params left right p.A.right in
+  match p.A.op with
+  | A.Eq -> fun lb li rb ri -> value_equal (l lb li rb ri) (r lb li rb ri)
+  | A.Lt -> fun lb li rb ri -> value_compare (l lb li rb ri) (r lb li rb ri) < 0
+  | A.Gt -> fun lb li rb ri -> value_compare (l lb li rb ri) (r lb li rb ri) > 0
+
+let compile_preds_pair ?params left right preds =
+  let rec all ps lb li rb ri =
+    match ps with
+    | [] -> true
+    | p :: rest -> p lb li rb ri && all rest lb li rb ri
+  in
+  match List.map (compile_pred_pair ?params left right) preds with
+  | [p] -> p
+  | ps -> fun lb li rb ri -> all ps lb li rb ri
+
+let batch_copy_pair lb li rb ri dst =
+  let row = dst.len in
+  let lw = Array.length lb.cols in
+  for c = 0 to lw - 1 do
+    dst.cols.(c).(row) <- lb.cols.(c).(li)
+  done;
+  for c = 0 to Array.length rb.cols - 1 do
+    dst.cols.(lw + c).(row) <- rb.cols.(c).(ri)
+  done;
+  dst.len <- row + 1
 
 let xasr_schema alias =
   [ A.col alias A.In;
@@ -203,32 +257,52 @@ let of_xasr (x : Xqdb_xasr.Xasr.tuple) =
 
 let project positions tuple = Array.map (fun i -> tuple.(i)) positions
 
+let write_value buf = function
+  | I x ->
+    Buffer.add_char buf '\000';
+    Codec.write_uvarint buf x
+  | S s ->
+    Buffer.add_char buf '\001';
+    Codec.write_string buf s
+
 let encode tuple =
   let buf = Buffer.create 32 in
   Codec.write_uvarint buf (Array.length tuple);
-  Array.iter
-    (fun v ->
-      match v with
-      | I x ->
-        Buffer.add_char buf '\000';
-        Codec.write_uvarint buf x
-      | S s ->
-        Buffer.add_char buf '\001';
-        Codec.write_string buf s)
-    tuple;
+  Array.iter (write_value buf) tuple;
   Buffer.to_bytes buf
+
+let encode_row b i =
+  let buf = Buffer.create 32 in
+  Codec.write_uvarint buf (Array.length b.cols);
+  Array.iter (fun col -> write_value buf col.(i)) b.cols;
+  Buffer.to_bytes buf
+
+let read_value r =
+  let tag = Bytes.get r.Codec.data r.Codec.pos in
+  r.Codec.pos <- r.Codec.pos + 1;
+  match tag with
+  | '\000' -> I (Codec.read_uvarint r)
+  | '\001' -> S (Codec.read_string r)
+  | c -> invalid_arg (Printf.sprintf "Tuple.decode: bad tag %C" c)
 
 let decode_reader r =
   let n = Codec.read_uvarint r in
-  Array.init n (fun _ ->
-      let tag = Bytes.get r.Codec.data r.Codec.pos in
-      r.Codec.pos <- r.Codec.pos + 1;
-      match tag with
-      | '\000' -> I (Codec.read_uvarint r)
-      | '\001' -> S (Codec.read_string r)
-      | c -> invalid_arg (Printf.sprintf "Tuple.decode: bad tag %C" c))
+  Array.init n (fun _ -> read_value r)
 
 let decode data = decode_reader (Codec.reader data)
+
+let batch_push_encoded b data =
+  let r = Codec.reader data in
+  let n = Codec.read_uvarint r in
+  if n <> Array.length b.cols then
+    invalid_arg
+      (Printf.sprintf "Tuple.batch_push_encoded: %d values for %d columns" n
+         (Array.length b.cols));
+  let row = b.len in
+  for c = 0 to n - 1 do
+    b.cols.(c).(row) <- read_value r
+  done;
+  b.len <- row + 1
 
 let encode_with_key ~key_positions tuple =
   (* Layout: uvarint key length, key bytes, then the encoded tuple.

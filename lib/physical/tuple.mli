@@ -108,6 +108,27 @@ val compile_pred_batch :
 val compile_preds_batch :
   ?params:params -> schema -> Xqdb_tpm.Tpm_algebra.pred list -> batch -> int -> bool
 
+val compile_preds_pair :
+  ?params:params ->
+  schema ->
+  schema ->
+  Xqdb_tpm.Tpm_algebra.pred list ->
+  batch ->
+  int ->
+  batch ->
+  int ->
+  bool
+(** [compile_preds_pair left right preds] tests a join's candidate pair
+    in place: the result reads [(outer batch, row, inner batch, row)],
+    with columns resolved against [left @ right] as {!compile_preds}
+    would resolve them against the concatenated tuple — but no tuple is
+    built. *)
+
+val batch_copy_pair : batch -> int -> batch -> int -> batch -> unit
+(** [batch_copy_pair lb li rb ri dst]: append the concatenation of
+    [lb]'s row [li] and [rb]'s row [ri] to [dst], whose width is the sum
+    of theirs. *)
+
 val xasr_schema : string -> schema
 (** The five columns of one XASR copy under an alias, in storage order:
     in, out, parent_in, type, value. *)
@@ -119,6 +140,14 @@ val project : int array -> t -> t
 (* Serialization for materialization and sorting. *)
 val encode : t -> bytes
 val decode : bytes -> t
+
+val encode_row : batch -> int -> bytes
+(** [encode (batch_row b i)], without materializing the row. *)
+
+val batch_push_encoded : batch -> bytes -> unit
+(** Decode an {!encode}d tuple straight into the batch's next row (the
+    caller checks capacity).
+    @raise Invalid_argument if its arity is not the batch's width. *)
 
 val encode_with_key : key_positions:int array -> t -> bytes
 (** An order-preserving key built from the given positions, followed by

@@ -93,6 +93,22 @@ let internal_cell_key cell = Bytes.sub cell 4 (Bytes.length cell - 4)
 
 (* --- searching within a node ----------------------------------------- *)
 
+(* [Bytes.compare] of the [len] bytes at [off] in [page] with [key],
+   read in place: searches compare many keys and keep none. *)
+let rec compare_from page off len key i =
+  if i >= len || i >= Bytes.length key then Int.compare len (Bytes.length key)
+  else begin
+    let c = Char.compare (Bytes.unsafe_get page (off + i)) (Bytes.unsafe_get key i) in
+    if c <> 0 then c else compare_from page off len key (i + 1)
+  end
+
+let compare_leaf_key page slot key =
+  let off = Page.slot_offset page slot in
+  compare_from page (off + 2) (Page.get_u16 page off) key 0
+
+let compare_internal_key page slot key =
+  compare_from page (Page.slot_offset page slot + 4) (Page.slot_length page slot - 4) key 0
+
 (* Smallest slot whose key is >= [key]; also reports an exact hit. *)
 let leaf_lower_bound page key =
   let n = Page.slot_count page in
@@ -101,14 +117,11 @@ let leaf_lower_bound page key =
     if lo >= hi then lo
     else begin
       let mid = (lo + hi) / 2 in
-      let k = leaf_cell_key (Page.read_slot page mid) in
-      if Bytes.compare k key < 0 then go (mid + 1) hi else go lo mid
+      if compare_leaf_key page mid key < 0 then go (mid + 1) hi else go lo mid
     end
   in
   let pos = go 0 n in
-  let exact =
-    pos < n && Bytes.equal (leaf_cell_key (Page.read_slot page pos)) key
-  in
+  let exact = pos < n && compare_leaf_key page pos key = 0 in
   (pos, exact)
 
 (* Child to descend into for [key]: the child of the largest separator
@@ -120,13 +133,12 @@ let internal_child page key =
     if lo >= hi then lo
     else begin
       let mid = (lo + hi) / 2 in
-      let k = internal_cell_key (Page.read_slot page mid) in
-      if Bytes.compare k key <= 0 then go (mid + 1) hi else go lo mid
+      if compare_internal_key page mid key <= 0 then go (mid + 1) hi else go lo mid
     end
   in
   let pos = go 0 n in
   if pos = 0 then Page.next page
-  else internal_cell_child (Page.read_slot page (pos - 1))
+  else Page.get_u32 page (Page.slot_offset page (pos - 1))
 
 (* --- find ------------------------------------------------------------- *)
 
@@ -408,7 +420,10 @@ let scan_prefix t ~prefix =
    single [with_page] window.  The batch-execution scan operators are
    built on these. *)
 
-let scan_range_pages ?lo ?hi t =
+(* Leaves from the one holding [lo] on, each pull returning the cells
+   of one leaf up to the first key that fails [within]; that key ends
+   the scan without touching another page. *)
+let scan_pages_while ?lo ~within t =
   let leaf, start =
     match lo with
     | None -> (leftmost_leaf t t.root, 0)
@@ -424,65 +439,49 @@ let scan_range_pages ?lo ?hi t =
     if !finished then None
     else begin
       Metrics.incr m_node_reads;
-      let cells, nxt, past_hi =
+      let cells, nxt, past_end =
         Buffer_pool.with_page t.pool !cur_leaf (fun p ->
             let n = Page.slot_count p in
             let acc = ref [] in
-            let past_hi = ref false in
+            let past_end = ref false in
             let pos = ref !cur_pos in
-            while (not !past_hi) && !pos < n do
-              let cell = Page.read_slot p !pos in
-              let key = leaf_cell_key cell in
-              match hi with
-              | Some hi_key when Bytes.compare key hi_key > 0 -> past_hi := true
-              | Some _ | None ->
-                acc := (key, leaf_cell_value cell) :: !acc;
+            while (not !past_end) && !pos < n do
+              let off = Page.slot_offset p !pos in
+              let klen = Page.get_u16 p off in
+              let key = Bytes.sub p (off + 2) klen in
+              if within key then begin
+                let vlen = Page.slot_length p !pos - 2 - klen in
+                acc := (key, Bytes.sub p (off + 2 + klen) vlen) :: !acc;
                 incr pos
+              end
+              else past_end := true
             done;
-            (Array.of_list (List.rev !acc), Page.next p, !past_hi))
+            (Array.of_list (List.rev !acc), Page.next p, !past_end))
       in
-      if past_hi || nxt = 0 then finished := true
+      let leaf = !cur_leaf in
+      if past_end || nxt = 0 then finished := true
       else begin
         cur_leaf := nxt;
         cur_pos := 0
       end;
       if Array.length cells = 0 then if !finished then None else pull ()
-      else Some cells
+      else Some (leaf, cells)
     end
   in
   pull
 
+let scan_range_pages ?lo ?hi t =
+  let within =
+    match hi with
+    | None -> fun _ -> true
+    | Some hi_key -> fun key -> Bytes.compare key hi_key <= 0
+  in
+  scan_pages_while ?lo ~within t
+
 let scan_prefix_pages t ~prefix =
   let plen = Bytes.length prefix in
-  let inner = scan_range_pages ~lo:prefix t in
-  let finished = ref false in
-  let rec pull () =
-    if !finished then None
-    else
-      match inner () with
-      | None ->
-        finished := true;
-        None
-      | Some cells ->
-        let matches (key, _) =
-          Bytes.length key >= plen && Bytes.equal (Bytes.sub key 0 plen) prefix
-        in
-        let n = Array.length cells in
-        let keep = ref n in
-        (try
-           for i = 0 to n - 1 do
-             if not (matches cells.(i)) then begin
-               keep := i;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !keep < n then finished := true;
-        if !keep = 0 then if !finished then None else pull ()
-        else if !keep = n then Some cells
-        else Some (Array.sub cells 0 !keep)
-  in
-  pull
+  scan_pages_while ~lo:prefix t ~within:(fun key ->
+      Bytes.length key >= plen && Bytes.equal (Bytes.sub key 0 plen) prefix)
 
 let iter t f =
   let cursor = scan_range t in

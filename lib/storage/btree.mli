@@ -46,13 +46,18 @@ val scan_prefix : t -> prefix:bytes -> unit -> (bytes * bytes) option
 (** All entries whose key starts with [prefix], in key order. *)
 
 val scan_range_pages :
-  ?lo:bytes -> ?hi:bytes -> t -> unit -> (bytes * bytes) array option
+  ?lo:bytes -> ?hi:bytes -> t -> unit -> (int * (bytes * bytes) array) option
 (** Page-at-a-time variant of {!scan_range}: each pull pins one leaf and
-    returns all its qualifying cells (never an empty array), decoded
-    inside a single [with_page] window instead of one pool round-trip
-    per entry.  The batch scan operators are built on this. *)
+    returns its page id with all its qualifying cells (never an empty
+    array), decoded inside a single [with_page] window instead of one
+    pool round-trip per entry.  The page id lets a consumer that pauses
+    partway through a leaf touch it again when it resumes, as the
+    row-at-a-time cursor would.  The page touches, in order and up to
+    immediate repeats, are those of {!scan_range}.  The batch operators
+    are built on this. *)
 
-val scan_prefix_pages : t -> prefix:bytes -> unit -> (bytes * bytes) array option
+val scan_prefix_pages :
+  t -> prefix:bytes -> unit -> (int * (bytes * bytes) array) option
 (** Page-at-a-time variant of {!scan_prefix}. *)
 
 val iter : t -> (bytes -> bytes -> unit) -> unit

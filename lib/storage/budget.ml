@@ -14,9 +14,7 @@ type t = {
 exception Exhausted of string
 exception Deadline_exceeded of string
 
-let ios_of disk =
-  let c = Disk.counters disk in
-  c.Disk.reads + c.Disk.writes
+let ios_of = Disk.total_ios
 
 let create ?max_page_ios ?max_seconds ?deadline disk =
   (* Wall clock, not [Sys.time]: a time budget bounds how long the

@@ -17,14 +17,21 @@ let write_uvarint buf v =
   in
   go v
 
+(* A loop rather than a local recursive function: the closure a local
+   [let rec] captures would be allocated on every call, and spool replay
+   decodes several varints per row. *)
 let read_uvarint r =
-  let rec go shift acc =
+  let acc = ref 0 in
+  let shift = ref 0 in
+  let more = ref true in
+  while !more do
     let byte = Char.code (Bytes.get r.data r.pos) in
     r.pos <- r.pos + 1;
-    let acc = acc lor ((byte land 0x7F) lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((byte land 0x7F) lsl !shift);
+    shift := !shift + 7;
+    more := byte land 0x80 <> 0
+  done;
+  !acc
 
 let write_string buf s =
   write_uvarint buf (String.length s);

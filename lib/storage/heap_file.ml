@@ -80,6 +80,10 @@ let iter t f =
   in
   go t.first
 
+let read_page t page_id =
+  Buffer_pool.with_page t.pool page_id (fun p ->
+      (Array.init (Page.slot_count p) (Page.read_slot p), Page.next p))
+
 let scan t =
   Metrics.incr m_scans;
   let page_id = ref t.first in

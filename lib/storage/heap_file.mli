@@ -31,6 +31,11 @@ val get : t -> rid -> bytes
 
 val iter : t -> (rid -> bytes -> unit) -> unit
 
+val read_page : t -> int -> bytes array * int
+(** [read_page t page] copies out all records of one page of the chain,
+    in slot order, in a single pool access, together with the next page
+    of the chain ([0] after the last).  Start from {!first_page}. *)
+
 val scan : t -> (unit -> bytes option)
 (** A restartable pull cursor over all records in order; each call to
     [scan] starts a fresh cursor. *)

@@ -63,6 +63,9 @@ let read_slot page i =
   let off, len = slot page i in
   Bytes.sub page off len
 
+let slot_offset page i = get_u16 page (slot_pos page i)
+let slot_length page i = get_u16 page (slot_pos page i + 2)
+
 let add_slot page record =
   let len = Bytes.length record in
   if free_space page < len then

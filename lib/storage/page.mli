@@ -42,6 +42,11 @@ val free_space : bytes -> int
 val read_slot : bytes -> int -> bytes
 (** [read_slot page i] copies record [i]. *)
 
+val slot_offset : bytes -> int -> int
+val slot_length : bytes -> int -> int
+(** Where record [i] lies in the page, for readers that look at it in
+    place instead of copying it out with {!read_slot}. *)
+
 val add_slot : bytes -> bytes -> int
 (** [add_slot page record] appends a record, returning its slot index.
     @raise Page_full if the record does not fit; callers check

@@ -149,9 +149,10 @@ let scan_all t =
   fun () -> Option.map (fun (_, v) -> Xasr.decode v) (cursor ())
 
 (* Page-at-a-time cursors: one pull decodes every qualifying entry of
-   one leaf page, pinned once.  These feed the batch scan operators. *)
+   one leaf page, pinned once, and names that leaf.  These feed the
+   batch operators. *)
 
-let decode_page cells = Array.map (fun (_, v) -> Xasr.decode v) cells
+let decode_page (leaf, cells) = (leaf, Array.map (fun (_, v) -> Xasr.decode v) cells)
 
 let scan_in_range_pages t ~lo ~hi =
   let cursor =
@@ -167,6 +168,15 @@ let children_ins t parent_in =
   let cursor = Btree.scan_prefix t.parent_idx ~prefix:(Xasr.parent_prefix parent_in) in
   fun () -> Option.map (fun (k, _) -> Xasr.in_of_parent_key k) (cursor ())
 
+let children_ins_pages t parent_in =
+  let cursor =
+    Btree.scan_prefix_pages t.parent_idx ~prefix:(Xasr.parent_prefix parent_in)
+  in
+  fun () ->
+    Option.map
+      (fun (leaf, cells) -> (leaf, Array.map (fun (k, _) -> Xasr.in_of_parent_key k) cells))
+      (cursor ())
+
 let label_ins t ntype value =
   let cursor = Btree.scan_prefix t.label_idx ~prefix:(Xasr.label_prefix ntype value) in
   fun () -> Option.map (fun (k, _) -> Xasr.in_of_label_key k) (cursor ())
@@ -175,7 +185,10 @@ let label_ins_pages t ntype value =
   let cursor =
     Btree.scan_prefix_pages t.label_idx ~prefix:(Xasr.label_prefix ntype value)
   in
-  fun () -> Option.map (Array.map (fun (k, _) -> Xasr.in_of_label_key k)) (cursor ())
+  fun () ->
+    Option.map
+      (fun (leaf, cells) -> (leaf, Array.map (fun (k, _) -> Xasr.in_of_label_key k) cells))
+      (cursor ())
 
 let label_ins_all_of_type t ntype =
   let prefix =
@@ -201,7 +214,10 @@ let struct_stream t label =
 
 let struct_stream_pages t label =
   let cursor = Btree.scan_prefix_pages t.struct_idx ~prefix:(Xasr.struct_prefix label) in
-  fun () -> Option.map (Array.map (fun (k, v) -> struct_tuple label k v)) (cursor ())
+  fun () ->
+    Option.map
+      (fun (leaf, cells) -> (leaf, Array.map (fun (k, v) -> struct_tuple label k v) cells))
+      (cursor ())
 
 let struct_entry_count t = Btree.entry_count t.struct_idx
 

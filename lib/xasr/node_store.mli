@@ -58,22 +58,29 @@ val scan_in_range : t -> lo:int -> hi:int -> unit -> Xasr.tuple option
 
 val scan_all : t -> unit -> Xasr.tuple option
 
-val scan_in_range_pages : t -> lo:int -> hi:int -> unit -> Xasr.tuple array option
+val scan_in_range_pages : t -> lo:int -> hi:int -> unit -> (int * Xasr.tuple array) option
 (** Page-at-a-time variant of {!scan_in_range}: each pull pins one
-    primary leaf once and decodes all its qualifying tuples (never an
-    empty array).  Document order across pulls. *)
+    primary leaf once and returns its page id with all its qualifying
+    tuples decoded (never an empty array).  Document order across pulls.
+    Every [_pages] cursor touches the pages its row-at-a-time
+    counterpart touches, in the same order (see
+    {!Xqdb_storage.Btree.scan_range_pages}). *)
 
-val scan_all_pages : t -> unit -> Xasr.tuple array option
+val scan_all_pages : t -> unit -> (int * Xasr.tuple array) option
 
 val children_ins : t -> int -> unit -> int option
 (** [in]s of the children of the node with the given [in], via the
     parent index, in document order. *)
 
+val children_ins_pages : t -> int -> unit -> (int * int array) option
+(** Page-at-a-time variant of {!children_ins}: one parent-index leaf
+    per pull, with its page id. *)
+
 val label_ins : t -> Xasr.node_type -> string -> unit -> int option
 (** [in]s of all nodes with the given type and value, via the label
     index, in document order. *)
 
-val label_ins_pages : t -> Xasr.node_type -> string -> unit -> int array option
+val label_ins_pages : t -> Xasr.node_type -> string -> unit -> (int * int array) option
 (** Page-at-a-time variant of {!label_ins}. *)
 
 val label_ins_all_of_type : t -> Xasr.node_type -> unit -> int option
@@ -85,7 +92,7 @@ val struct_stream : t -> string -> unit -> Xasr.tuple option
 (** Full element tuples with the given label, streamed from the
     structural index alone in document order — no primary fetches. *)
 
-val struct_stream_pages : t -> string -> unit -> Xasr.tuple array option
+val struct_stream_pages : t -> string -> unit -> (int * Xasr.tuple array) option
 (** Page-at-a-time variant of {!struct_stream}. *)
 
 val struct_entry_count : t -> int

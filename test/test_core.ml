@@ -240,6 +240,46 @@ let test_budget_censoring () =
   | Engine.Ok -> ()
   | _ -> Alcotest.fail "expected success without budget"
 
+(* Figure-7 engine 2, test 3: a semijoin plan that scans the whole
+   document per outer row and emits almost nothing, so a limit can only
+   be noticed by polling as the join works, not as it emits.  The joins
+   poll every 64 units of work; within 64 units this plan reads at most
+   a couple of leaves.  At batch sizes 1 and 256 alike, a page-I/O
+   budget stops it at most 64 page I/Os past the budget, and a deadline
+   stops it with [Timeout] at most [deadline_slack] seconds late (the
+   slack covers scheduling and collector pauses of a loaded host; the
+   polling interval itself is microseconds). *)
+let deadline_slack = 0.1
+
+let test_censoring_bound () =
+  let forest = [W.Dblp_gen.generate (W.Dblp_gen.scaled 500)] in
+  let query = List.assoc "test3-semijoin" (Xqdb_testbed.Queries.parsed Xqdb_testbed.Queries.efficiency_queries) in
+  List.iter
+    (fun batch_size ->
+      let fresh () = Engine.load_forest ~config:{ Config.engine2 with Config.batch_size } forest in
+      let what = Printf.sprintf "batch %d" batch_size in
+      let budget = 1500 in
+      let r = Engine.run ~max_page_ios:budget (fresh ()) query in
+      (match r.Engine.status with
+       | Engine.Budget_exceeded _ -> ()
+       | _ -> Alcotest.failf "%s: expected the page-I/O budget to censor the run" what);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stopped at %d page I/Os, budget %d + 64" what r.Engine.page_ios budget)
+        true
+        (r.Engine.page_ios <= budget + 64);
+      let engine = fresh () in
+      let deadline = Xqdb_storage.Monotonic.now () +. 0.02 in
+      let r = Engine.run ~deadline engine query in
+      let late = Xqdb_storage.Monotonic.now () -. deadline in
+      (match r.Engine.status with
+       | Engine.Timeout _ -> ()
+       | _ -> Alcotest.failf "%s: expected the deadline to censor the run" what);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: returned %.3fs past the deadline (bound %.2fs)" what late
+           deadline_slack)
+        true (late <= deadline_slack))
+    [1; 256]
+
 let test_type_errors_reported () =
   let engine = Lazy.force journal_engine in
   let q = Xqdb_xq.Xq_parser.parse "for $n in //name return if ($n = \"Ana\") then $n else ()" in
@@ -604,6 +644,7 @@ let () =
           Alcotest.test_case "operator breakdown" `Quick test_profile_operators ] );
       ( "budgets and errors",
         [ Alcotest.test_case "censoring" `Quick test_budget_censoring;
+          Alcotest.test_case "censoring bound" `Quick test_censoring_bound;
           Alcotest.test_case "type errors" `Quick test_type_errors_reported;
           Alcotest.test_case "pool exhaustion censors" `Quick test_pool_exhausted_censors;
           Alcotest.test_case "sanitized engine under faults" `Quick

@@ -615,6 +615,218 @@ let test_budget_partial_batches () =
   Alcotest.(check int) "partial profile keeps the delivered rows" first p.Op.rows;
   Alcotest.(check bool) "partial profile charged the I/O" true (p.Op.ios > 0)
 
+(* --- batch-native joins vs the row-at-a-time reference ------------------ *)
+
+(* The joins read their outer row in place, test pairs without
+   concatenating them, and read spools and index leaves a page at a
+   time, touching a page again when a call resumes partway through it.
+   These cases hold that design to the plain nested loop over
+   materialized rows, at batch sizes that pause a pass inside a page
+   (1, 2) and one that rarely does (256), over a pool small enough to
+   evict spool pages between passes. *)
+
+let join_sizes = [1; 2; 256]
+
+let with_join_store f =
+  let disk = S.Disk.in_memory () in
+  let pool = S.Buffer_pool.create ~capacity:16 disk in
+  let store, _ =
+    X.Shredder.shred_forest pool ~name:"t"
+      [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 60)]
+  in
+  List.iter (fun batch_size -> f pool (Op.make_ctx ~batch_size store)) join_sizes
+
+let first_only ~semi rows =
+  match rows with
+  | r :: _ when semi -> [r]
+  | rows -> rows
+
+(* Nested loop over drained rows: the semantics every join must keep. *)
+let reference ~semi ~keep outer inner =
+  List.concat_map
+    (fun l -> first_only ~semi (List.filter keep (List.map (Tuple.concat l) inner)))
+    outer
+
+let agrees what ctx op expected =
+  let got = Op.drain op in
+  Alcotest.(check int) (what ^ ": rows") (List.length expected) (List.length got);
+  Alcotest.(check bool) (what ^ ": same rows, same order") true (got = expected);
+  Alcotest.(check bool) (what ^ ": replay") true (Op.drain op = expected);
+  Op.close ctx op
+
+let lt l r = { A.left = l; op = A.Lt; right = r }
+
+let test_nl_join_edges () =
+  with_join_store (fun pool ctx ->
+      let articles () = Op.full_scan ctx "A" ~preds:[elem_pred "A"; value_pred "A" "article"] in
+      let everything () = Op.full_scan ctx "B" ~preds:[] in
+      let schema = (articles ()).Op.schema @ (everything ()).Op.schema in
+      let all = Op.drain (everything ()) in
+      let last_in = match List.rev all with t :: _ -> int_of t.(0) | [] -> -1 in
+      let cases =
+        [ (* Thousands of inner rows span several spool pages; batches
+             of 1 and 2 fill partway through a page. *)
+          ("descendants", [lt (ocol "A" A.In) (ocol "B" A.In); lt (ocol "B" A.Out) (ocol "A" A.Out)],
+           everything);
+          ("only the last inner row matches", [eq (ocol "B" A.In) (A.Oint last_in)], everything);
+          ("empty inner", [], fun () -> Op.full_scan ctx "B" ~preds:[value_pred "B" "zzz"]) ]
+      in
+      List.iter
+        (fun (name, preds, inner) ->
+          let expected semi =
+            reference ~semi ~keep:(Tuple.compile_preds schema preds) (Op.drain (articles ()))
+              (Op.drain (inner ()))
+          in
+          List.iter
+            (fun semi ->
+              let expected = expected semi in
+              Alcotest.(check bool) (name ^ ": the reference is not trivial") true
+                (String.equal name "empty inner" || List.length expected > if semi then 0 else 1);
+              List.iter
+                (fun (mode_name, mode) ->
+                  agrees
+                    (Printf.sprintf "nl %s, %s, semi %b, batch %d" name mode_name semi
+                       ctx.Op.batch_size)
+                    ctx
+                    (Op.nl_join ~materialize_inner:mode ~semi ~preds (articles ()) (inner ()) ctx)
+                    expected)
+                [("None", `None); ("Mem", `Mem); ("Disk", `Disk)];
+              (* Block nested loops reorder within a block: compare
+                 multisets. *)
+              if not semi then begin
+                let bnl = Op.bnl_join ~block_size:3 ~preds (articles ()) (inner ()) ctx in
+                Alcotest.(check bool)
+                  (Printf.sprintf "bnl %s, batch %d: same multiset" name ctx.Op.batch_size)
+                  true
+                  (List.sort compare (Op.drain bnl) = List.sort compare expected);
+                Op.close ctx bnl
+              end)
+            [false; true])
+        cases;
+      S.Buffer_pool.assert_unpinned ~where:"nl_join edges" pool)
+
+let test_index_join_edges () =
+  with_join_store (fun pool ctx ->
+      let all = Op.drain (Op.full_scan ctx "D" ~preds:[]) in
+      let roots () = Op.full_scan ctx "P" ~preds:[elem_pred "P"; value_pred "P" "dblp"] in
+      let elements () = Op.full_scan ctx "P" ~preds:[elem_pred "P"] in
+      let p_in l = int_of l.(0) and p_out l = int_of l.(1) and p_parent l = int_of l.(2) in
+      let d_in d = int_of d.(0) and d_parent d = int_of d.(2) in
+      let residual = [lt (ocol "D" A.In) (ocol "P" A.Out)] in
+      let check what ~semi op ~outer ~inner_ok =
+        let expected =
+          List.concat_map
+            (fun l ->
+              first_only ~semi
+                (List.map (Tuple.concat l) (List.filter (fun d -> inner_ok l d) all)))
+            (Op.drain outer)
+        in
+        Alcotest.(check bool) (what ^ ": the reference is not trivial") true
+          (List.length expected > if semi then 0 else 1);
+        agrees (Printf.sprintf "%s, semi %b, batch %d" what semi ctx.Op.batch_size) ctx op
+          expected
+      in
+      List.iter
+        (fun semi ->
+          (* One outer row whose probe covers every primary leaf. *)
+          check "inl desc" ~semi ~outer:(roots ())
+            ~inner_ok:(fun l d -> p_in l < d_in d && d_in d < p_out l)
+            (Op.inl_join ~semi ctx ~probe:(Op.Probe_desc (ocol "P" A.In, ocol "P" A.Out))
+               ~alias:"D" ~preds:[] ~residual (roots ()));
+          (* Every element's children: fetches interleave with the
+             parent-index leaf the probe resumes in. *)
+          check "inl child" ~semi ~outer:(elements ())
+            ~inner_ok:(fun l d -> d_parent d = p_in l)
+            (Op.inl_join ~semi ctx ~probe:(Op.Probe_child (ocol "P" A.In)) ~alias:"D"
+               ~preds:[] ~residual (elements ()));
+          check "inl pk" ~semi ~outer:(elements ())
+            ~inner_ok:(fun l d -> d_in d = p_parent l)
+            (Op.inl_join ~semi ctx ~probe:(Op.Probe_pk (ocol "P" A.Parent_in)) ~alias:"D"
+               ~preds:[] ~residual:[] (elements ()));
+          check "struct" ~semi ~outer:(roots ())
+            ~inner_ok:(fun l d ->
+              p_in l < d_in d && d_in d < p_out l
+              && d.(3) = Tuple.I (Xasr.node_type_code Xasr.Element)
+              && d.(4) = Tuple.S "author")
+            (Op.struct_join ~semi ctx ~lo:(ocol "P" A.In) ~hi:(ocol "P" A.Out) ~alias:"D"
+               ~label:"author" ~preds:[] ~residual (roots ())))
+        [false; true];
+      S.Buffer_pool.assert_unpinned ~where:"index join edges" pool)
+
+(* Golden page I/O of the join family and the disk spool on a
+   three-frame pool, cold at the start of each run, with each join
+   spooled by a consumer and read twice: the numbers the row-at-a-time
+   operators produced.  A pool this small evicts between almost any two
+   accesses, so a batch-native operator matches them only if it touches
+   the same pages in the same order — including the extra touch of a
+   spool page or index leaf when a call resumes partway through it. *)
+let io_cases ctx =
+  let articles () = Op.full_scan ctx "A" ~preds:[elem_pred "A"; value_pred "A" "article"] in
+  let inner () = Op.full_scan ctx "B" ~preds:[] in
+  let elements () = Op.full_scan ctx "P" ~preds:[elem_pred "P"] in
+  let roots () = Op.full_scan ctx "P" ~preds:[elem_pred "P"; value_pred "P" "dblp"] in
+  let desc = [lt (ocol "A" A.In) (ocol "B" A.In); lt (ocol "B" A.Out) (ocol "A" A.Out)] in
+  [ ("nl disk", fun () -> Op.nl_join ~materialize_inner:`Disk ~preds:desc (articles ()) (inner ()) ctx);
+    ("semi nl disk", fun () ->
+        Op.nl_join ~materialize_inner:`Disk ~semi:true ~preds:desc (articles ()) (inner ()) ctx);
+    ("nl none", fun () -> Op.nl_join ~materialize_inner:`None ~preds:desc (articles ()) (inner ()) ctx);
+    ("materialize disk", fun () -> Op.materialize `Disk (Op.full_scan ctx "R" ~preds:[]) ctx);
+    ("inl child", fun () ->
+        Op.inl_join ctx ~probe:(Op.Probe_child (ocol "P" A.In)) ~alias:"D" ~preds:[] ~residual:[]
+          (elements ()));
+    ("semi inl child", fun () ->
+        Op.inl_join ~semi:true ctx ~probe:(Op.Probe_child (ocol "P" A.In)) ~alias:"D"
+          ~preds:[value_pred "D" "title"] ~residual:[] (elements ()));
+    ("inl desc", fun () ->
+        Op.inl_join ctx ~probe:(Op.Probe_desc (ocol "P" A.In, ocol "P" A.Out)) ~alias:"D"
+          ~preds:[] ~residual:[] (roots ()));
+    ("inl pk", fun () ->
+        Op.inl_join ctx ~probe:(Op.Probe_pk (ocol "P" A.Parent_in)) ~alias:"D" ~preds:[]
+          ~residual:[] (elements ()));
+    ("struct", fun () ->
+        Op.struct_join ctx ~lo:(ocol "P" A.In) ~hi:(ocol "P" A.Out) ~alias:"D" ~label:"author"
+          ~preds:[] ~residual:[] (elements ())) ]
+
+(* Page I/O per case at batch sizes 1, 2 and 256, recorded from the
+   row-at-a-time operators. *)
+let golden_ios =
+  [ ("nl disk", [366; 366; 299]);
+    ("semi nl disk", [125; 91; 58]);
+    ("nl none", [582; 583; 514]);
+    ("materialize disk", [46; 46; 55]);
+    ("inl child", [4373; 2816; 1348]);
+    ("semi inl child", [1470; 1411; 1356]);
+    ("inl desc", [46; 50; 57]);
+    ("inl pk", [181; 281; 46]);
+    ("struct", [30; 30; 32]) ]
+
+let test_join_page_ios () =
+  List.iteri
+    (fun i batch_size ->
+      let disk = S.Disk.in_memory () in
+      let pool = S.Buffer_pool.create ~capacity:3 disk in
+      let store, _ =
+        X.Shredder.shred_forest pool ~name:"t"
+          [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 60)]
+      in
+      let ctx = Op.make_ctx ~batch_size store in
+      List.iter
+        (fun (name, build) ->
+          S.Buffer_pool.drop_all pool;
+          let before = S.Disk.total_ios disk in
+          (* A spooling consumer does page I/O between the join's
+             calls, so a resumed pass's extra touch is not a no-op. *)
+          let op = Op.materialize `Disk (build ()) ctx in
+          ignore (Op.count op);
+          ignore (Op.count op);
+          Op.close ctx op;
+          Alcotest.(check int)
+            (Printf.sprintf "%s, batch %d" name batch_size)
+            (List.nth (List.assoc name golden_ios) i)
+            (S.Disk.total_ios disk - before))
+        (io_cases ctx))
+    join_sizes
+
 (* --- parallel scan -------------------------------------------------------- *)
 
 let test_par_scan_agrees () =
@@ -744,6 +956,12 @@ let () =
           Alcotest.test_case "budget censoring mid-stream" `Quick
             test_budget_partial_batches;
           Alcotest.test_case "ctx validation" `Quick test_ctx_validation ] );
+      ( "batch-native joins",
+        [ Alcotest.test_case "nested loops = reference" `Quick test_nl_join_edges;
+          Alcotest.test_case "index and staircase joins = reference" `Quick
+            test_index_join_edges;
+          Alcotest.test_case "page I/O of the row-at-a-time joins" `Quick
+            test_join_page_ios ] );
       ( "parallel scan",
         [ Alcotest.test_case "agrees with full scan, in order" `Quick
             test_par_scan_agrees;

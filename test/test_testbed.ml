@@ -94,6 +94,63 @@ let test_efficiency_deterministic () =
   Alcotest.(check bool) "two runs give identical I/O tables" true
     (List.map key a.T.Efficiency.cells = List.map key b.T.Efficiency.cells)
 
+(* Golden page I/O of the Figure-7 grid at DBLP 300, tests 3 and 5
+   under an 800-page budget.  Each row is one engine's five tests;
+   [Some n] is a cell that finishes with exactly [n] page I/Os, [None] a
+   censored cell.  Every cell runs on a freshly loaded engine, so no
+   cell inherits a pool warmed by the one before it.  Page I/O is the
+   paper's cost metric: an operator rewrite may make a cell faster but
+   must leave these numbers alone. *)
+let golden_grid =
+  [ ( 256,
+      [ ("engine-1", [Some 215; Some 60; Some 128; Some 0; Some 146]);
+        ("engine-2", [Some 204; Some 138; Some 204; Some 105; None]);
+        ("engine-3", [Some 215; Some 142; Some 264; Some 0; None]);
+        ("engine-4", [Some 212; Some 193; Some 315; Some 0; Some 305]);
+        ("engine-5", [Some 212; Some 193; Some 327; Some 109; Some 657]) ] );
+    ( 1,
+      [ ("engine-1", [Some 215; Some 60; Some 127; Some 0; Some 144]);
+        ("engine-2", [Some 129; Some 116; Some 159; Some 105; None]);
+        ("engine-3", [Some 215; Some 140; Some 271; Some 0; None]);
+        ("engine-4", [Some 210; Some 196; Some 318; Some 0; Some 303]);
+        ("engine-5", [Some 210; Some 196; Some 327; Some 109; Some 658]) ] ) ]
+
+let test_golden_page_ios () =
+  let forest = [Xqdb_workload.Dblp_gen.generate (Xqdb_workload.Dblp_gen.scaled 300)] in
+  let parsed = T.Queries.parsed T.Queries.efficiency_queries in
+  List.iter
+    (fun (batch_size, rows) ->
+      List.iter
+        (fun (config : Config.t) ->
+          let expected = List.assoc config.Config.name rows in
+          List.iter2
+            (fun (test, query) want ->
+              let engine =
+                Xqdb_core.Engine.load_forest ~config:{ config with Config.batch_size } forest
+              in
+              let budget =
+                match test with
+                | "test3-semijoin" | "test5-unrelated" -> 800
+                | _ -> 60_000
+              in
+              let r =
+                Xqdb_core.Engine.run ~max_page_ios:budget ~max_seconds:60. engine query
+              in
+              let what = Printf.sprintf "batch %d %s %s" batch_size config.Config.name test in
+              match (want, r.Xqdb_core.Engine.status) with
+              | Some ios, Xqdb_core.Engine.Ok ->
+                Alcotest.(check int) what ios r.Xqdb_core.Engine.page_ios
+              | None, Xqdb_core.Engine.Budget_exceeded _ -> ()
+              | Some _, _ | None, _ ->
+                Alcotest.failf "%s: expected %s, got %s after %d page I/Os" what
+                  (if want = None then "censored" else "ok")
+                  (if r.Xqdb_core.Engine.status = Xqdb_core.Engine.Ok then "ok"
+                   else "another status")
+                  r.Xqdb_core.Engine.page_ios)
+            parsed expected)
+        Config.figure7_engines)
+    golden_grid
+
 (* Example 6: QP2 <= QP1 <= QP0 in measured page I/Os, same answers. *)
 let test_plan_lab () =
   match T.Plan_lab.run ~scale:200 () with
@@ -487,7 +544,8 @@ let () =
       ("correctness", [Alcotest.test_case "all engines, all documents" `Slow test_correctness_suite]);
       ( "efficiency",
         [ Alcotest.test_case "harness and censoring" `Slow test_efficiency_harness;
-          Alcotest.test_case "determinism" `Slow test_efficiency_deterministic ] );
+          Alcotest.test_case "determinism" `Slow test_efficiency_deterministic;
+          Alcotest.test_case "golden page I/O per cell" `Slow test_golden_page_ios ] );
       ("plan lab", [Alcotest.test_case "QP2 < QP1 < QP0" `Slow test_plan_lab]);
       ( "differential",
         [ Alcotest.test_case "clean oracle run" `Quick test_differential_clean;
