@@ -956,12 +956,11 @@ let () =
           Alcotest.test_case "budget censoring mid-stream" `Quick
             test_budget_partial_batches;
           Alcotest.test_case "ctx validation" `Quick test_ctx_validation ] );
-      ( "batch-native joins",
+      ( "batch joins",
         [ Alcotest.test_case "nested loops = reference" `Quick test_nl_join_edges;
-          Alcotest.test_case "index and staircase joins = reference" `Quick
+          Alcotest.test_case "index, staircase = reference" `Quick
             test_index_join_edges;
-          Alcotest.test_case "page I/O of the row-at-a-time joins" `Quick
-            test_join_page_ios ] );
+          Alcotest.test_case "row-at-a-time page I/O" `Quick test_join_page_ios ] );
       ( "parallel scan",
         [ Alcotest.test_case "agrees with full scan, in order" `Quick
             test_par_scan_agrees;
